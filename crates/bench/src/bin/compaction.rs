@@ -65,7 +65,6 @@ fn main() -> graphstore::Result<()> {
         ScanExecutor::Sequential,
         DurableOptions {
             checkpoint_every,
-            group_commit: None,
             // The bench forces its one compaction explicitly; the
             // threshold must not fire on its own mid-stream.
             ..Default::default()

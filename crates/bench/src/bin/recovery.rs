@@ -54,7 +54,6 @@ fn main() -> graphstore::Result<()> {
         ScanExecutor::Sequential,
         DurableOptions {
             checkpoint_every,
-            group_commit: None,
             ..Default::default()
         },
     )?;

@@ -56,7 +56,6 @@ fn run_mode(scrub: bool, ops: usize) -> graphstore::Result<ModeResult> {
         ScanExecutor::Sequential,
         DurableOptions {
             checkpoint_every: u64::MAX, // isolate the scrubber from checkpoints
-            group_commit: None,
             ..Default::default()
         },
     )?);

@@ -73,7 +73,7 @@ pub use update_buffer::{
     rewrite_temp_base, rewrite_temp_paths, BufferedGraph, UpdateBuffer, DEFAULT_BUFFER_CAPACITY,
 };
 pub use vfs::{FaultPlan, FaultVfs, StdVfs, ThrottledVfs, Vfs, VfsFile};
-pub use wal::{GroupCommitOptions, GroupCommitWal, Wal, WalScan, WAL_MAGIC};
+pub use wal::{GroupCommitWal, Wal, WalScan, WAL_MAGIC};
 
 /// Node identifier. The paper's largest graph (978.4M nodes) fits in `u32`.
 pub type NodeId = u32;

@@ -168,6 +168,10 @@ impl Vfs for StdVfs {
 pub struct FaultPlan {
     /// Fail the Nth `sync_all` with `EIO` (once; later syncs succeed).
     pub fail_fsync: Option<u64>,
+    /// Fail the Nth `sync_all` with `ENOSPC` (once), as a filesystem that
+    /// allocates at writeback reports a full disk. Never armed by
+    /// [`FaultPlan::from_seed`], so seeded plans replay unchanged.
+    pub enospc_fsync: Option<u64>,
     /// On the Nth file write, persist only the first `K` bytes, then fail.
     pub short_write: Option<(u64, usize)>,
     /// Report `ENOSPC` once the cumulative written bytes would exceed this
@@ -432,6 +436,12 @@ impl VfsFile for FaultFile {
             st.fsyncs += 1;
             if st.plan.fail_fsync == Some(st.fsyncs) {
                 return Err(io::Error::other("injected fsync failure (EIO)"));
+            }
+            if st.plan.enospc_fsync == Some(st.fsyncs) {
+                return Err(io::Error::new(
+                    io::ErrorKind::StorageFull,
+                    "injected fsync failure (ENOSPC)",
+                ));
             }
         }
         self.inner.sync_all()

@@ -2,9 +2,10 @@
 //! torn-tail tolerant.
 //!
 //! A [`Wal`] is the durability half of the maintenance path: every edge
-//! update is appended here — and fsynced — *before* it is applied to the
-//! in-memory state, so a crash at any instant loses at most work the caller
-//! was never told succeeded. The file layout is deliberately minimal:
+//! update is appended here *before* it is applied to the in-memory state,
+//! and acknowledged only once a [`GroupCommitWal`] barrier has fsynced it,
+//! so a crash at any instant loses at most work the caller was never told
+//! succeeded. The file layout is deliberately minimal:
 //!
 //! ```text
 //! "KCORWAL1"                                  8-byte magic
@@ -29,12 +30,11 @@
 //! write I/O per `B`-sized block boundary it touches (so a stream of small
 //! records costs `ceil(bytes / B)` writes, not one write per record), and
 //! the recovery scan charges `ceil(file_len / B)` read I/Os — one
-//! sequential pass. The fsync per append is a wall-clock cost only; the
+//! sequential pass. The fsync barrier is a wall-clock cost only; the
 //! model counts blocks, not barriers.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
 
 use crate::codec;
 use crate::error::{Error, Result};
@@ -134,37 +134,18 @@ impl Wal {
         scan_bytes(&bytes, path)
     }
 
-    /// Append one record and fsync it. When this returns `Ok`, the record
-    /// survives any crash; when the process dies mid-append, the torn bytes
-    /// are dropped by the next [`Wal::open`].
+    /// Append one record **without** an fsync: the record is written (and
+    /// charged) but not yet durable — a crash can lose it even after this
+    /// returns `Ok`. A [`GroupCommitWal`] barrier makes it durable; when
+    /// the process dies mid-append, the torn bytes are dropped by the next
+    /// [`Wal::open`].
     ///
-    /// When the write or fsync itself fails, the bytes that landed — which
-    /// may be a *complete but unacknowledged* record — are truncated away
+    /// When the write itself fails, the bytes that landed — which may be a
+    /// *complete but unacknowledged* record — are truncated away (durably)
     /// so a retried append can never produce a duplicate or misframed
     /// record. If even that cleanup fails, the journal poisons itself and
     /// refuses further appends (reopening the file recovers).
     pub fn append(&mut self, payload: &[u8]) -> Result<()> {
-        self.append_inner(payload, true)
-    }
-
-    /// [`Wal::append`] without the fsync: the record is written (and
-    /// charged) but **not yet durable** — a crash can lose it even after
-    /// this returns `Ok`. This is the building block of group commit: a
-    /// batch of unsynced appends followed by one [`Wal::sync`] (or, across
-    /// threads, a [`GroupCommitWal`]) pays one barrier for the lot. The
-    /// failure cleanup is identical to [`Wal::append`].
-    pub fn append_unsynced(&mut self, payload: &[u8]) -> Result<()> {
-        self.append_inner(payload, false)
-    }
-
-    /// Fsync the journal file: every record appended so far — synced or
-    /// not — is durable when this returns `Ok`.
-    pub fn sync(&mut self) -> Result<()> {
-        self.file.sync_all()?;
-        Ok(())
-    }
-
-    fn append_inner(&mut self, payload: &[u8], sync: bool) -> Result<()> {
         if self.poisoned {
             return Err(Error::Io(std::io::Error::other(format!(
                 "journal {} is poisoned by an earlier failed append; reopen it",
@@ -181,17 +162,7 @@ impl Wal {
         rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         rec.extend_from_slice(&codec::crc32(payload).to_le_bytes());
         rec.extend_from_slice(payload);
-        let written =
-            self.file.write_all(&rec).and_then(
-                |()| {
-                    if sync {
-                        self.file.sync_all()
-                    } else {
-                        Ok(())
-                    }
-                },
-            );
-        if let Err(e) = written {
+        if let Err(e) = self.file.write_all(&rec) {
             // The truncation must itself be fsynced: set_len alone lives in
             // the page cache, and a crash after writeback persisted the
             // record bytes — but before anything persisted the shorter
@@ -267,30 +238,6 @@ impl Wal {
     }
 }
 
-/// Tuning knobs for a [`GroupCommitWal`].
-#[derive(Debug, Clone, Copy)]
-pub struct GroupCommitOptions {
-    /// How long an fsync leader waits before capturing its batch, giving
-    /// concurrent submitters time to land their records in the same
-    /// barrier. Zero disables the gather window (the leader still absorbs
-    /// every record written before its fsync starts, so batching under
-    /// load happens either way — the window just widens the batch at the
-    /// cost of per-op latency).
-    pub max_delay: Duration,
-}
-
-impl Default for GroupCommitOptions {
-    fn default() -> Self {
-        GroupCommitOptions {
-            max_delay: Duration::from_micros(100),
-        }
-    }
-}
-
-/// Follower wait quantum: a bounded condvar wait so a waiter re-checks for
-/// leadership even in the (theoretical) event of a missed wakeup.
-const FOLLOWER_WAIT: Duration = Duration::from_millis(20);
-
 /// Lock one of the group's metadata mutexes, recovering from poison. Every
 /// protected structure here is updated in single assignments (counters,
 /// flags) or by [`Wal`] methods that restore their own invariants on
@@ -313,11 +260,13 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// fsync goes to a **second handle on the same file** (POSIX `fsync`
 /// flushes the inode, not the descriptor's own writes), so submitters keep
 /// appending *while* the leader's barrier is in flight — that overlap is
-/// where the batching comes from. Leadership is a `try_lock` on the
-/// committer handle: whoever gets it sleeps `max_delay` (the gather
-/// window), snapshots the highest written LSN, fsyncs, publishes it as the
-/// durable LSN and wakes everyone. Woken waiters whose LSN is still not
-/// durable loop and elect the next leader.
+/// where the batching comes from. Leadership is a flag under the progress
+/// lock: a waiter that finds no barrier running becomes the leader at
+/// once (there is no gather window), snapshots the highest written LSN,
+/// fsyncs, publishes it as the durable LSN and wakes everyone. A waiter
+/// that finds a barrier running sleeps until it ends; every wake-up sends
+/// it back to the election, so a record written after the running
+/// barrier's snapshot gets the very next fsync.
 ///
 /// ## Crash window
 ///
@@ -335,15 +284,14 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct GroupCommitWal {
     /// The journal and the LSN allocator, under the append lock.
     append: Mutex<GroupAppend>,
-    /// Second handle to the same file, used only for fsync. Held (blocking
-    /// out other leaders, but **not** submitters) for the duration of each
-    /// barrier.
+    /// Second handle to the same file, used only for fsync and only by the
+    /// current leader (see `Progress::leader_active`), so submitters are
+    /// never blocked by a barrier in flight.
     committer: Mutex<Box<dyn VfsFile>>,
-    /// Durability watermarks and the sticky barrier error.
+    /// Durability watermarks, the leader flag and the sticky barrier error.
     progress: Mutex<Progress>,
-    /// Wakes followers when the durable LSN advances (or a barrier fails).
+    /// Wakes followers when a barrier ends (or a checkpoint covers them).
     cv: Condvar,
-    opts: GroupCommitOptions,
 }
 
 #[derive(Debug)]
@@ -365,12 +313,15 @@ struct Progress {
     /// durable frontier is unknowable, so every outstanding and future
     /// wait reports it (the serving layer quarantines the graph).
     sync_error: Option<String>,
+    /// A leader's barrier is running. Set and cleared under this lock, so
+    /// a follower that sees it set is always woken when it clears.
+    leader_active: bool,
 }
 
 impl GroupCommitWal {
     /// Wrap `wal` for group commit, opening the second (fsync) handle on
     /// the same file through the journal's own [`Vfs`](crate::Vfs).
-    pub fn wrap(wal: Wal, opts: GroupCommitOptions) -> Result<GroupCommitWal> {
+    pub fn wrap(wal: Wal) -> Result<GroupCommitWal> {
         let committer = wal.counter.vfs().open_read_write(&wal.path)?;
         Ok(GroupCommitWal {
             append: Mutex::new(GroupAppend { wal, next_lsn: 1 }),
@@ -379,9 +330,9 @@ impl GroupCommitWal {
                 durable_lsn: 0,
                 written_lsn: 0,
                 sync_error: None,
+                leader_active: false,
             }),
             cv: Condvar::new(),
-            opts,
         })
     }
 
@@ -391,7 +342,7 @@ impl GroupCommitWal {
     /// returned LSN.
     pub fn submit(&self, payload: &[u8]) -> Result<u64> {
         let mut ap = relock(&self.append);
-        ap.wal.append_unsynced(payload)?;
+        ap.wal.append(payload)?;
         let lsn = ap.next_lsn;
         ap.next_lsn += 1;
         drop(ap);
@@ -415,80 +366,43 @@ impl GroupCommitWal {
         relock(&self.append).wal.rollback_to(mark)
     }
 
-    /// Immediate barrier over everything submitted so far: block until
-    /// every record written at the time of the call is durable, without
-    /// the gather delay. The server's drain path calls this before
-    /// closing sockets so no acknowledged op rides on an unissued
-    /// barrier.
-    pub fn flush(&self) -> Result<()> {
-        let target = relock(&self.progress).written_lsn;
-        self.wait_durable(target, false)
-    }
-
     /// Block until every record up to `lsn` is durable — acknowledged by a
-    /// completed fsync barrier or absorbed into a checkpoint. With
-    /// `gather`, a thread elected leader waits the configured `max_delay`
-    /// before its barrier so concurrent submits can join the batch; without
-    /// it the barrier is issued immediately (explicit flushes).
-    pub fn wait_durable(&self, lsn: u64, gather: bool) -> Result<()> {
+    /// completed fsync barrier or absorbed into a checkpoint. With no
+    /// barrier running the caller leads one at once; with one running it
+    /// waits for that barrier to end and then either returns or stands for
+    /// the next election.
+    pub fn wait_durable(&self, lsn: u64) -> Result<()> {
+        let mut p = relock(&self.progress);
         loop {
-            {
-                let p = relock(&self.progress);
-                if let Some(e) = barrier_error(&p, lsn) {
-                    return Err(e);
-                }
-                if p.durable_lsn >= lsn {
-                    return Ok(());
-                }
+            if let Some(e) = barrier_error(&p, lsn) {
+                return Err(e);
             }
-            if let Ok(mut file) = self.committer.try_lock() {
-                // Leader: gather, snapshot the batch, one barrier for all.
-                if gather && !self.opts.max_delay.is_zero() {
-                    std::thread::sleep(self.opts.max_delay);
-                }
-                let target = {
-                    let p = relock(&self.progress);
-                    if p.durable_lsn >= lsn && p.sync_error.is_none() {
-                        // A checkpoint satisfied everyone mid-election.
-                        continue;
-                    }
-                    p.written_lsn
-                };
-                let res = file.sync_all();
-                drop(file);
-                let mut p = relock(&self.progress);
-                match res {
-                    Ok(()) => p.durable_lsn = p.durable_lsn.max(target),
-                    Err(e) => {
-                        if p.sync_error.is_none() {
-                            p.sync_error = Some(e.to_string());
-                        }
-                    }
-                }
-                self.cv.notify_all();
-                if let Some(e) = barrier_error(&p, lsn) {
-                    return Err(e);
-                }
-                if p.durable_lsn >= lsn {
-                    return Ok(());
-                }
-                // Our record landed after the snapshot; go around again.
-            } else {
-                // Follower: wait for the current leader's barrier. The
-                // bounded wait means a waiter never hangs on a missed
-                // wakeup; it just re-checks and stands for election.
-                let mut p = relock(&self.progress);
-                while p.durable_lsn < lsn && p.sync_error.is_none() {
-                    let (guard, timeout) = self
-                        .cv
-                        .wait_timeout(p, FOLLOWER_WAIT)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    p = guard;
-                    if timeout.timed_out() {
-                        break;
+            if p.durable_lsn >= lsn {
+                return Ok(());
+            }
+            if p.leader_active {
+                p = self
+                    .cv
+                    .wait(p)
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+                continue;
+            }
+            // Leader: snapshot the batch, one barrier for all of it.
+            p.leader_active = true;
+            let target = p.written_lsn;
+            drop(p);
+            let res = relock(&self.committer).sync_all();
+            p = relock(&self.progress);
+            p.leader_active = false;
+            match res {
+                Ok(()) => p.durable_lsn = p.durable_lsn.max(target),
+                Err(e) => {
+                    if p.sync_error.is_none() {
+                        p.sync_error = Some(e.to_string());
                     }
                 }
             }
+            self.cv.notify_all();
         }
     }
 
@@ -754,7 +668,7 @@ mod tests {
         let path = wal_path(&dir);
         let (vfs, fc) = fault_counter(crate::vfs::FaultPlan::default());
         let wal = Wal::create(&path, fc).unwrap();
-        let group = GroupCommitWal::wrap(wal, GroupCommitOptions::default()).unwrap();
+        let group = GroupCommitWal::wrap(wal).unwrap();
 
         let before = vfs.sync_events();
         let mut last = 0;
@@ -762,7 +676,7 @@ mod tests {
             last = group.submit(payload).unwrap();
         }
         assert_eq!(group.durable_lsn(), 0, "nothing durable before the barrier");
-        group.wait_durable(last, false).unwrap();
+        group.wait_durable(last).unwrap();
         assert_eq!(
             vfs.sync_events() - before,
             1,
@@ -770,7 +684,7 @@ mod tests {
         );
         assert_eq!(group.durable_lsn(), last);
         // Waiting again is free: the watermark already covers it.
-        group.wait_durable(last, false).unwrap();
+        group.wait_durable(last).unwrap();
         assert_eq!(vfs.sync_events() - before, 1);
 
         drop(group);
@@ -793,15 +707,7 @@ mod tests {
         let path = wal_path(&dir);
         let (vfs, fc) = fault_counter(crate::vfs::FaultPlan::default());
         let wal = Wal::create(&path, fc).unwrap();
-        let group = Arc::new(
-            GroupCommitWal::wrap(
-                wal,
-                GroupCommitOptions {
-                    max_delay: Duration::from_micros(500),
-                },
-            )
-            .unwrap(),
-        );
+        let group = Arc::new(GroupCommitWal::wrap(wal).unwrap());
 
         let before = vfs.sync_events();
         const THREADS: u8 = 4;
@@ -812,7 +718,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..OPS {
                         let lsn = g.submit(&[t, i]).unwrap();
-                        g.wait_durable(lsn, true).unwrap();
+                        g.wait_durable(lsn).unwrap();
                     }
                 })
             })
@@ -844,18 +750,18 @@ mod tests {
         let dir = TempDir::new("gwal").unwrap();
         let path = wal_path(&dir);
         let wal = Wal::create(&path, counter()).unwrap();
-        let group = GroupCommitWal::wrap(wal, GroupCommitOptions::default()).unwrap();
+        let group = GroupCommitWal::wrap(wal).unwrap();
         for p in [b"x".as_slice(), b"y"] {
             group.submit(p).unwrap();
         }
         group.truncate_satisfy().unwrap();
         // Both records are covered (by the caller's checkpoint) without a
         // barrier of their own, and the journal is empty again.
-        group.wait_durable(2, false).unwrap();
+        group.wait_durable(2).unwrap();
         assert_eq!(group.mark(), WAL_MAGIC.len() as u64);
         let lsn = group.submit(b"z").unwrap();
         assert_eq!(lsn, 3, "LSNs keep counting across truncation");
-        group.wait_durable(lsn, false).unwrap();
+        group.wait_durable(lsn).unwrap();
         drop(group);
         let (_w, records) = Wal::open(&path, counter()).unwrap();
         assert_eq!(records, vec![b"z".to_vec()]);
@@ -866,15 +772,15 @@ mod tests {
         let dir = TempDir::new("gwal").unwrap();
         let path = wal_path(&dir);
         let wal = Wal::create(&path, counter()).unwrap();
-        let group = GroupCommitWal::wrap(wal, GroupCommitOptions::default()).unwrap();
+        let group = GroupCommitWal::wrap(wal).unwrap();
         let first = group.submit(b"kept").unwrap();
         let mark = group.mark();
         group.submit(b"doomed").unwrap();
         group.rollback_to(mark).unwrap();
-        group.wait_durable(first, false).unwrap();
+        group.wait_durable(first).unwrap();
         let third = group.submit(b"after").unwrap();
         assert_eq!(third, 3, "rolled-back LSN 2 is consumed, not reused");
-        group.wait_durable(third, false).unwrap();
+        group.wait_durable(third).unwrap();
         drop(group);
         let (_w, records) = Wal::open(&path, counter()).unwrap();
         assert_eq!(records, vec![b"kept".to_vec(), b"after".to_vec()]);
@@ -886,9 +792,9 @@ mod tests {
         let path = wal_path(&dir);
         let (vfs, c) = fault_counter(crate::vfs::FaultPlan::default());
         let wal = Wal::create(&path, c).unwrap();
-        let group = GroupCommitWal::wrap(wal, GroupCommitOptions::default()).unwrap();
+        let group = GroupCommitWal::wrap(wal).unwrap();
         let acked = group.submit(b"acked").unwrap();
-        group.wait_durable(acked, false).unwrap();
+        group.wait_durable(acked).unwrap();
 
         // The next barrier fails: its op errors, and so does every later
         // wait — the durable frontier is no longer knowable.
@@ -897,11 +803,11 @@ mod tests {
             ..crate::vfs::FaultPlan::default()
         });
         let lost = group.submit(b"lost").unwrap();
-        assert!(group.wait_durable(lost, false).is_err());
+        assert!(group.wait_durable(lost).is_err());
         let after = group.submit(b"after").unwrap();
-        assert!(group.wait_durable(after, false).is_err(), "sticky");
+        assert!(group.wait_durable(after).is_err(), "sticky");
         // …but anything acknowledged before the failure stays acknowledged.
-        group.wait_durable(acked, false).unwrap();
+        group.wait_durable(acked).unwrap();
     }
 
     #[test]

@@ -3,16 +3,18 @@
 //! fsync, a short write, `ENOSPC`, or a crash-stop before any sync point —
 //! a clean reopen must observe the **old** state or the **new** state,
 //! never a third. The fault schedule is derived from the proptest seed, so
-//! a failing case replays exactly.
+//! a failing case replays exactly. A stalled fsync, held on a gate, must
+//! not strand a journal waiter whose record the stalled barrier missed.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use graphstore::{
-    Catalog, CatalogEntry, EvictionPolicy, FaultPlan, FaultVfs, FormatVersion, IoCounter, TempDir,
-    Vfs, Wal,
+    Catalog, CatalogEntry, EvictionPolicy, FaultPlan, FaultVfs, FormatVersion, GroupCommitWal,
+    IoCounter, TempDir, Vfs, Wal,
 };
 use proptest::prelude::*;
-use testutil::Lcg;
+use testutil::{Lcg, SyncGateVfs};
 
 const BLOCK: usize = 64;
 
@@ -86,10 +88,10 @@ proptest! {
         prop_assert_eq!(Catalog::read(dir.path()).unwrap(), new);
     }
 
-    /// `Wal::append` under any injected fault: reopen recovers exactly the
-    /// appended prefix, or the prefix plus the one in-flight record —
-    /// every surviving record bit-exact — and an acknowledged append is
-    /// always durable.
+    /// A journal append and its fsync barrier under any injected fault:
+    /// reopen recovers exactly the durable prefix, or the prefix plus the
+    /// one in-flight record — every surviving record bit-exact — and an
+    /// acknowledged append is always durable.
     #[test]
     fn wal_append_lands_old_or_new_never_a_third(
         seed in any::<u64>(),
@@ -104,13 +106,14 @@ proptest! {
         // ordinals are relative to the single in-flight append.
         let fault = FaultVfs::new(FaultPlan::default());
         let counter = IoCounter::with_vfs(BLOCK, Arc::clone(&fault) as Arc<dyn Vfs>);
-        let mut wal = Wal::create(&path, counter).unwrap();
+        let journal = GroupCommitWal::wrap(Wal::create(&path, counter).unwrap()).unwrap();
         for p in prefix {
-            wal.append(p).unwrap();
+            journal.submit(p).unwrap();
         }
+        journal.wait_durable(prefix_len as u64).unwrap();
         fault.set_plan(FaultPlan::from_seed(seed));
-        let appended = wal.append(extra);
-        drop(wal);
+        let appended = journal.submit(extra).and_then(|lsn| journal.wait_durable(lsn));
+        drop(journal);
 
         // Clean reopen (torn tails are truncated on the way in).
         let (_wal, recovered) = Wal::open(&path, IoCounter::new(BLOCK)).unwrap();
@@ -135,4 +138,43 @@ proptest! {
             prop_assert_eq!(rec, expect, "record {} corrupted (seed {})", i, seed);
         }
     }
+}
+
+/// A record written after a running barrier took its snapshot gets the
+/// very next fsync once that barrier ends — its waiter stands for election
+/// at once instead of waiting for another submitter (or a timeout).
+#[test]
+fn group_commit_straggler_gets_the_next_barrier_without_another_submit() {
+    let dir = TempDir::new("gwal-gate").unwrap();
+    let gate = SyncGateVfs::new("wal");
+    let counter = IoCounter::with_vfs(BLOCK, Arc::clone(&gate) as Arc<dyn Vfs>);
+    let wal = Wal::create(&dir.path().join("t.wal"), counter).unwrap();
+    let group = Arc::new(GroupCommitWal::wrap(wal).unwrap());
+    let base = gate.entered();
+    gate.set_closed(true);
+
+    // The first barrier snapshots LSN 1, then blocks inside its fsync.
+    let first = group.submit(b"first").unwrap();
+    let g = Arc::clone(&group);
+    let leader = std::thread::spawn(move || g.wait_durable(first));
+    assert!(gate.await_entered(base + 1, Duration::from_secs(10)));
+
+    // Written after that snapshot, so the running barrier cannot cover
+    // it; nothing is submitted after it.
+    let second = group.submit(b"second").unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let g = Arc::clone(&group);
+    let straggler = std::thread::spawn(move || tx.send(g.wait_durable(second)));
+    // Let the straggler queue behind the running barrier; the verdict
+    // holds whichever side of the release it arrives on.
+    std::thread::sleep(Duration::from_millis(50));
+    gate.set_closed(false);
+
+    leader.join().unwrap().unwrap();
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("the straggler never got a barrier")
+        .unwrap();
+    straggler.join().unwrap().unwrap();
+    assert_eq!(group.durable_lsn(), second);
+    assert_eq!(gate.entered() - base, 2, "one more barrier, no more");
 }

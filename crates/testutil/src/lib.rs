@@ -21,10 +21,20 @@
 //!   schedule-independent);
 //! * [`arb_graph`] / [`arb_toggle_stream`] — the proptest strategies shared
 //!   by the cross-validation and maintenance property suites.
+//! * [`SyncGateVfs`] — a real-filesystem [`Vfs`] whose fsyncs on one kind
+//!   of file block while a gate is closed, for tests that must catch an
+//!   operation *inside* its fsync.
 
 #![deny(missing_docs)]
 
-use graphstore::{mem_to_disk, DiskGraph, IoCounter, MemGraph, TempDir, DEFAULT_BLOCK_SIZE};
+use std::io;
+use std::path::Path;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
+
+use graphstore::{
+    mem_to_disk, DiskGraph, IoCounter, MemGraph, StdVfs, TempDir, Vfs, VfsFile, DEFAULT_BLOCK_SIZE,
+};
 use proptest::prelude::*;
 
 /// The suite's standard deterministic generator (a 64-bit LCG with the
@@ -164,6 +174,133 @@ pub fn arb_toggle_stream() -> impl Strategy<Value = (MemGraph, Vec<(u32, u32)>)>
         let ops = proptest::collection::vec((0..n, 0..n), 0usize..40);
         (edges, ops).prop_map(move |(e, o)| (MemGraph::from_edges(e, n), o))
     })
+}
+
+/// A [`Vfs`] over the real filesystem whose `sync_all` on files with one
+/// extension (say `wal`) blocks while the gate is closed. Every fsync on
+/// such a file is counted as it reaches the gate, so a test can wait until
+/// an operation is provably inside its fsync, check what still runs
+/// meanwhile, then release it. The gate starts open.
+#[derive(Debug)]
+pub struct SyncGateVfs {
+    ext: &'static str,
+    gate: Arc<Gate>,
+}
+
+#[derive(Debug, Default)]
+struct Gate {
+    /// (closed, fsyncs that reached the gate)
+    state: Mutex<(bool, u64)>,
+    cv: Condvar,
+}
+
+impl Gate {
+    fn lock(&self) -> MutexGuard<'_, (bool, u64)> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+}
+
+impl SyncGateVfs {
+    /// Gate the fsyncs of files whose extension is `ext`.
+    pub fn new(ext: &'static str) -> Arc<SyncGateVfs> {
+        Arc::new(SyncGateVfs {
+            ext,
+            gate: Arc::default(),
+        })
+    }
+
+    /// Close (`true`) or open the gate; opening releases every blocked
+    /// fsync.
+    pub fn set_closed(&self, closed: bool) {
+        self.gate.lock().0 = closed;
+        self.gate.cv.notify_all();
+    }
+
+    /// Gated fsyncs that have reached the gate so far.
+    pub fn entered(&self) -> u64 {
+        self.gate.lock().1
+    }
+
+    /// Wait up to `within` until `n` gated fsyncs have reached the gate;
+    /// false on timeout.
+    pub fn await_entered(&self, n: u64, within: Duration) -> bool {
+        let st = self.gate.lock();
+        let (_st, wait) = self
+            .gate
+            .cv
+            .wait_timeout_while(st, within, |st| st.1 < n)
+            .unwrap_or_else(|p| p.into_inner());
+        !wait.timed_out()
+    }
+
+    fn wrap(&self, path: &Path, file: Box<dyn VfsFile>) -> Box<dyn VfsFile> {
+        if path.extension().is_some_and(|e| e == self.ext) {
+            Box::new(GatedFile {
+                inner: file,
+                gate: Arc::clone(&self.gate),
+            })
+        } else {
+            file
+        }
+    }
+}
+
+#[derive(Debug)]
+struct GatedFile {
+    inner: Box<dyn VfsFile>,
+    gate: Arc<Gate>,
+}
+
+impl VfsFile for GatedFile {
+    fn read_exact_at(&mut self, offset: u64, out: &mut [u8]) -> io::Result<()> {
+        self.inner.read_exact_at(offset, out)
+    }
+    fn write_all(&mut self, data: &[u8]) -> io::Result<()> {
+        self.inner.write_all(data)
+    }
+    fn seek_to(&mut self, offset: u64) -> io::Result<()> {
+        self.inner.seek_to(offset)
+    }
+    fn set_len(&mut self, len: u64) -> io::Result<()> {
+        self.inner.set_len(len)
+    }
+    fn sync_all(&mut self) -> io::Result<()> {
+        let mut st = self.gate.lock();
+        st.1 += 1;
+        self.gate.cv.notify_all();
+        while st.0 {
+            st = self.gate.cv.wait(st).unwrap_or_else(|p| p.into_inner());
+        }
+        drop(st);
+        self.inner.sync_all()
+    }
+    fn len(&mut self) -> io::Result<u64> {
+        self.inner.len()
+    }
+}
+
+impl Vfs for SyncGateVfs {
+    fn open_read(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        Ok(self.wrap(path, StdVfs.open_read(path)?))
+    }
+    fn open_read_write(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        Ok(self.wrap(path, StdVfs.open_read_write(path)?))
+    }
+    fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        Ok(self.wrap(path, StdVfs.create(path)?))
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        StdVfs.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        StdVfs.remove_file(path)
+    }
+    fn sync_parent_dir(&self, path: &Path) -> io::Result<()> {
+        StdVfs.sync_parent_dir(path)
+    }
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        StdVfs.read(path)
+    }
 }
 
 #[cfg(test)]

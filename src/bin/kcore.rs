@@ -8,8 +8,8 @@
 //! kcore stats  <graph-base>                  core profile (onion levels, nucleus)
 //! kcore serve  [--budget-mb M] [--workers N] [--policy lru|scanlifo]
 //!              [--data-dir DIR] [--listen ADDR] [--max-conns N]
-//!              [--qos-mb M] [--qos-queue N] [--group-commit-us U]
-//!              [--compact-after E] [--scrub-interval S]
+//!              [--qos-mb M] [--qos-queue N] [--compact-after E]
+//!              [--scrub-interval S]
 //!              [--repair-retries R] [--op-timeout-ms T]
 //!              [name=graph-base ...]         serve many graphs on one budget
 //! kcore fsck   <data-dir> [--repair]         check (and repair) a durable dir
@@ -32,9 +32,9 @@
 //! applied, and restarting with the same directory restores every graph —
 //! maintained cores included — without re-decomposing (the directory's
 //! catalog then also supplies the pool budget and policy, so those flags
-//! are ignored on reopen). `--group-commit-us U` (durable mode only)
-//! batches concurrent journal fsyncs into one barrier with a `U`-µs
-//! gather window. `--compact-after E` (durable mode only) bounds every
+//! are ignored on reopen). Concurrent writers share journal fsyncs: each
+//! op's fsync runs after its graph's lock is released and covers every
+//! op journaled before it starts. `--compact-after E` (durable mode only) bounds every
 //! graph's update buffer: once `E` buffered edit entries accumulate the
 //! apply path folds tables + edits into a fresh table generation and
 //! truncates buffer and journal (default one million entries).
@@ -80,17 +80,14 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use graphstore::{
-    edgelist, DiskGraph, EvictionPolicy, GroupCommitOptions, IoCounter, QosConfig,
-    DEFAULT_BLOCK_SIZE,
-};
+use graphstore::{edgelist, DiskGraph, EvictionPolicy, IoCounter, QosConfig, DEFAULT_BLOCK_SIZE};
 use kcore_suite::semicore::{self, analysis, DecomposeOptions, EmCoreOptions, ScanExecutor};
 use kcore_suite::server::{dispatch, Server, ServerOptions};
 use kcore_suite::CoreService;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  kcore build <edges.txt> <graph-base> [--compress[=v2|v3]]\n  kcore decompose <graph-base> [--algo star|plus|basic|emcore] [--workers N] [--cache-mb M] [--out cores.txt]\n  kcore query <graph-base> --k <K>\n  kcore stats <graph-base>\n  kcore serve [--budget-mb M] [--workers N] [--policy lru|scanlifo] [--data-dir DIR]\n              [--listen ADDR] [--max-conns N] [--qos-mb M] [--qos-queue N]\n              [--group-commit-us U] [--compact-after E] [--scrub-interval S]\n              [--repair-retries R] [--op-timeout-ms T] [name=graph-base ...]\n  kcore fsck <data-dir> [--repair]\n  kcore compact <data-dir> <name>\n  kcore recompress <data-dir> [--to v1|v2|v3]"
+        "usage:\n  kcore build <edges.txt> <graph-base> [--compress[=v2|v3]]\n  kcore decompose <graph-base> [--algo star|plus|basic|emcore] [--workers N] [--cache-mb M] [--out cores.txt]\n  kcore query <graph-base> --k <K>\n  kcore stats <graph-base>\n  kcore serve [--budget-mb M] [--workers N] [--policy lru|scanlifo] [--data-dir DIR]\n              [--listen ADDR] [--max-conns N] [--qos-mb M] [--qos-queue N]\n              [--compact-after E] [--scrub-interval S]\n              [--repair-retries R] [--op-timeout-ms T] [name=graph-base ...]\n  kcore fsck <data-dir> [--repair]\n  kcore compact <data-dir> <name>\n  kcore recompress <data-dir> [--to v1|v2|v3]"
     );
     std::process::exit(2)
 }
@@ -360,7 +357,7 @@ fn recompress_cmd(args: &[String]) -> graphstore::Result<()> {
 
 /// The value-taking flags of `kcore serve` — the single list both the
 /// flag parsers and the positional-argument scan below work from.
-const SERVE_FLAGS: [&str; 13] = [
+const SERVE_FLAGS: [&str; 12] = [
     "--budget-mb",
     "--workers",
     "--policy",
@@ -369,7 +366,6 @@ const SERVE_FLAGS: [&str; 13] = [
     "--max-conns",
     "--qos-mb",
     "--qos-queue",
-    "--group-commit-us",
     "--compact-after",
     "--scrub-interval",
     "--repair-retries",
@@ -405,22 +401,9 @@ fn serve(args: &[String]) -> graphstore::Result<()> {
         Some("scanlifo") | None => EvictionPolicy::ScanLifo,
         Some(_) => usage(),
     };
-    // `--group-commit-us U` batches concurrent journal fsyncs; it only
-    // means anything when there is a journal, i.e. with `--data-dir`.
-    let group_commit = match arg_value(args, SERVE_FLAGS[8]).map(|v| v.parse::<u64>()) {
-        Some(Ok(us)) => Some(GroupCommitOptions {
-            max_delay: Duration::from_micros(us),
-        }),
-        Some(Err(_)) => usage(),
-        None => None,
-    };
-    if group_commit.is_some() && arg_value(args, SERVE_FLAGS[3]).is_none() {
-        eprintln!("--group-commit-us requires --data-dir (there is no journal without one)");
-        usage()
-    }
     // `--compact-after E` bounds each durable graph's update buffer at
     // `E` edit entries before the apply path compacts it.
-    let compact_after = match arg_value(args, SERVE_FLAGS[9]).map(|v| v.parse::<usize>()) {
+    let compact_after = match arg_value(args, SERVE_FLAGS[8]).map(|v| v.parse::<usize>()) {
         Some(Ok(entries)) => Some(entries),
         Some(Err(_)) => usage(),
         None => None,
@@ -430,7 +413,6 @@ fn serve(args: &[String]) -> graphstore::Result<()> {
         usage()
     }
     let durable_opts = kcore_suite::DurableOptions {
-        group_commit,
         compact_after_edits: compact_after.unwrap_or(kcore_suite::DEFAULT_COMPACT_AFTER_EDITS),
         ..kcore_suite::DurableOptions::default()
     };
@@ -507,7 +489,7 @@ fn serve(args: &[String]) -> graphstore::Result<()> {
     // `--op-timeout-ms T` bounds every query's charged-read phase: an op
     // over its deadline comes back as one `err timeout:` line (and never
     // quarantines — a slow graph is not a broken graph).
-    match arg_value(args, SERVE_FLAGS[12]).map(|v| v.parse::<u64>()) {
+    match arg_value(args, SERVE_FLAGS[11]).map(|v| v.parse::<u64>()) {
         Some(Ok(ms)) => {
             svc.set_op_timeout(Some(Duration::from_millis(ms)));
             println!("per-op deadline: {ms} ms");
@@ -522,7 +504,7 @@ fn serve(args: &[String]) -> graphstore::Result<()> {
     // episode. The supervisor always runs under `serve` — quarantined
     // graphs get repaired and read-only graphs re-probed even with the
     // scrubber off.
-    let scrub_interval = match arg_value(args, SERVE_FLAGS[10]).map(|v| v.parse::<u64>()) {
+    let scrub_interval = match arg_value(args, SERVE_FLAGS[9]).map(|v| v.parse::<u64>()) {
         Some(Ok(secs)) => Some(Duration::from_secs(secs)),
         Some(Err(_)) => usage(),
         None => None,
@@ -531,7 +513,7 @@ fn serve(args: &[String]) -> graphstore::Result<()> {
         eprintln!("--scrub-interval requires --data-dir (the scrubber walks durable artefacts)");
         usage()
     }
-    let repair_retries = match arg_value(args, SERVE_FLAGS[11]).map(|v| v.parse::<u32>()) {
+    let repair_retries = match arg_value(args, SERVE_FLAGS[10]).map(|v| v.parse::<u32>()) {
         Some(Ok(n)) => Some(n),
         Some(Err(_)) => usage(),
         None => None,

@@ -36,11 +36,10 @@
 //!   and drop the connection.
 //!
 //! `quit` ends that connection only; [`Server::shutdown`] (or dropping the
-//! server) is a **graceful drain**: it stops accepting, joins every
+//! server) is a **graceful drain**: it stops accepting and joins every
 //! connection thread (each finishes its in-flight command and writes the
-//! reply first), then flushes pending group-commit journal barriers
-//! ([`CoreService::flush_journals`]) so no acknowledged op is lost to the
-//! process exiting between the ack and its batch's fsync.
+//! reply first). A mutation's reply is written only after its journal
+//! fsync, so once the threads are joined every acknowledged op is durable.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -82,7 +81,6 @@ impl Default for ServerOptions {
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
-    svc: Arc<CoreService>,
     shutdown: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
     accept: Option<std::thread::JoinHandle<()>>,
@@ -99,7 +97,6 @@ impl Server {
         let active = Arc::new(AtomicUsize::new(0));
         let conns = Arc::new(Mutex::new(Vec::new()));
         let accept = {
-            let svc = Arc::clone(&svc);
             let shutdown = Arc::clone(&shutdown);
             let active = Arc::clone(&active);
             let conns = Arc::clone(&conns);
@@ -107,7 +104,6 @@ impl Server {
         };
         Ok(Server {
             addr,
-            svc,
             shutdown,
             active,
             accept: Some(accept),
@@ -125,11 +121,10 @@ impl Server {
         self.active.load(Ordering::Relaxed)
     }
 
-    /// Graceful drain: stop accepting, let every in-flight command finish
-    /// (connection threads notice the flag within one read tick; their
-    /// current command always completes and its reply is written), then
-    /// flush pending group-commit journal barriers so every acknowledged
-    /// op is durable before the port is released.
+    /// Graceful drain: stop accepting and let every in-flight command
+    /// finish (connection threads notice the flag within one read tick;
+    /// their current command always completes, journal fsync included,
+    /// and its reply is written) before the port is released.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // The accept loop sits in a blocking accept(); a throwaway
@@ -145,9 +140,6 @@ impl Server {
         for conn in drained {
             let _ = conn.join();
         }
-        // Every reply already written has now left dispatch; make the ops
-        // behind them durable before the caller tears the process down.
-        self.svc.flush_journals();
     }
 }
 

@@ -31,13 +31,15 @@
 //!   cores + `cnt` and pending update-buffer edits at a journal sequence
 //!   number, replaced atomically;
 //! * and a **write-ahead journal** (`<name>.wal`): every applied
-//!   [`MaintainOp`], appended and fsynced *before* it is applied.
+//!   [`MaintainOp`], appended *before* it is applied and fsynced before it
+//!   is acknowledged.
 //!
-//! [`CoreService::apply`] is the single journaling mutation path (append →
-//! apply → checkpoint once `checkpoint_every` ops accumulate → truncate the
-//! journal); recovery loads the checkpoint in one sequential scan and
-//! replays the journal tail through the very same [`CoreIndex::apply`]
-//! dispatch. Durable graphs never rewrite their tables *in place*: a
+//! [`CoreService::apply_batch`] is the single journaling mutation path
+//! (append → apply → checkpoint once `checkpoint_every` ops accumulate →
+//! truncate the journal → release the graph lock → fsync barrier);
+//! [`CoreService::apply`] is a batch of one. Recovery loads the checkpoint
+//! in one sequential scan and replays the journal tail through the very
+//! same [`CoreIndex::apply`] dispatch. Durable graphs never rewrite their tables *in place*: a
 //! table file is immutable from creation to deletion while edits
 //! accumulate in the (checkpointed) update buffer, which is what makes
 //! recovery exact at any kill point. What bounds that accumulation is
@@ -64,12 +66,15 @@
 //!   all other graphs keep serving. After a mid-mutation failure the
 //!   in-memory cores/`cnt` can no longer be trusted; the on-disk
 //!   journal/checkpoint protocol is what makes recovery safe.
-//! * **Healthy → ReadOnly**: a *disk-full* failure on the journal or
-//!   checkpoint writers damages nothing — it only stops writers — so the
-//!   graph degrades instead of sealing: queries keep serving the last
-//!   committed state, mutations are refused with
+//! * **Healthy → ReadOnly**: a *disk-full* failure on a (rolled-back)
+//!   journal append or a checkpoint write damages nothing — it only stops
+//!   writers — so the graph degrades instead of sealing: queries keep
+//!   serving the last committed state, mutations are refused with
 //!   [`graphstore::Error::ReadOnly`], and the graph is promoted back once
-//!   a probe ([`CoreService::probe_read_only`]) proves space returned.
+//!   a probe ([`CoreService::probe_read_only`]) proves space returned. A
+//!   *journal fsync* that fails — disk-full included — quarantines: its
+//!   batch is applied in memory but reported failed, and the probe's
+//!   checkpoint would make it durable.
 //! * **Quarantined → Repairing → Healthy**: [`CoreService::repair`]
 //!   rebuilds a quarantined graph *online* — fsck tail-repair of its
 //!   durable artefacts, the same recovery path a restart uses, and the
@@ -94,9 +99,8 @@ use std::time::{Duration, Instant};
 
 use graphstore::{
     working_set_charge_budget, AdmissionController, AdmissionPermit, Catalog, CatalogEntry,
-    DiskGraph, EvictionPolicy, FormatVersion, GroupCommitOptions, GroupCommitWal, IoCounter,
-    IoSnapshot, QosConfig, Result, SharedPool, StateCheckpoint, StdVfs, ThrottledVfs, Vfs, Wal,
-    DEFAULT_BLOCK_SIZE,
+    DiskGraph, EvictionPolicy, FormatVersion, GroupCommitWal, IoCounter, IoSnapshot, QosConfig,
+    Result, SharedPool, StateCheckpoint, StdVfs, ThrottledVfs, Vfs, Wal, DEFAULT_BLOCK_SIZE,
 };
 use semicore::{CoreState, MaintainOp, MaintainStats, ScanExecutor};
 
@@ -120,20 +124,18 @@ pub const DEFAULT_COMPACT_AFTER_EDITS: usize = 1 << 20;
 
 /// Durability knobs for [`CoreService::create_durable_with`] /
 /// [`CoreService::open_catalog_with`].
+///
+/// The journal itself takes no options: every durable graph journals
+/// through a [`GroupCommitWal`] — ops are appended under the graph's lock,
+/// and one fsync barrier, run after the lock is released, covers every op
+/// appended before it starts (no gather window). An op is acknowledged
+/// only once a barrier covers it.
 #[derive(Debug, Clone)]
 pub struct DurableOptions {
     /// Checkpoint (and truncate the journal) after this many maintenance
     /// ops per graph. Smaller values bound the replay tail; larger values
     /// amortise the `O(n)` checkpoint write. Clamped to at least 1.
     pub checkpoint_every: u64,
-    /// `Some` switches every graph's journal to **group commit**: appends
-    /// land unsynced, [`CoreService::apply`] waits on a shared fsync
-    /// barrier *after* releasing the graph's lock, and concurrent appliers
-    /// coalesce into one fsync (see [`GroupCommitWal`]). `None` keeps the
-    /// fsync-per-op journal. The acknowledgement contract is identical
-    /// either way — an op whose success was reported is durable — only
-    /// unacknowledged in-flight ops ride a wider crash window.
-    pub group_commit: Option<GroupCommitOptions>,
     /// Compact a graph once its update buffer holds this many edit
     /// entries (an undirected edge op buffers two entries, one per
     /// endpoint). This is the durable path's **memory bound**: without
@@ -149,52 +151,14 @@ impl Default for DurableOptions {
     fn default() -> Self {
         DurableOptions {
             checkpoint_every: 64,
-            group_commit: None,
             compact_after_edits: DEFAULT_COMPACT_AFTER_EDITS,
         }
     }
 }
 
-/// A served graph's journal: fsync-per-append, or batched group commit.
-#[derive(Debug)]
-enum Journal {
-    /// Every appended op is fsynced before `apply` proceeds.
-    PerOp(Wal),
-    /// Appends land unsynced under the graph lock; the submitter gets an
-    /// LSN and waits for the shared barrier after the lock is released,
-    /// so concurrent appliers (and whole batches) share fsyncs.
-    Group(Arc<GroupCommitWal>),
-}
-
-impl Journal {
-    fn mark(&mut self) -> u64 {
-        match self {
-            Journal::PerOp(w) => w.len_bytes(),
-            Journal::Group(g) => g.mark(),
-        }
-    }
-
-    fn rollback_to(&mut self, mark: u64) -> Result<()> {
-        match self {
-            Journal::PerOp(w) => w.rollback_to(mark),
-            Journal::Group(g) => g.rollback_to(mark),
-        }
-    }
-
-    fn truncate(&mut self) -> Result<()> {
-        match self {
-            Journal::PerOp(w) => w.truncate(),
-            // The caller just checkpointed (durably) past every journaled
-            // op, so emptying the file also satisfies any waiter still
-            // queued on the barrier.
-            Journal::Group(g) => g.truncate_satisfy(),
-        }
-    }
-}
-
-/// What [`CoreService::apply`] still owes after the graph lock is gone:
-/// the group-commit barrier to wait on, if the journal batches fsyncs.
-type DurabilityTicket = Option<(Arc<GroupCommitWal>, u64)>;
+/// The journal fsync a commit still owes once the graph lock is released:
+/// the graph's journal and the LSN of the commit's last record.
+type Barrier = (Arc<GroupCommitWal>, u64);
 
 /// Wire encoding of one journal record: sequence number, then the op.
 fn encode_record(seq: u64, op: MaintainOp) -> Vec<u8> {
@@ -211,7 +175,7 @@ fn encode_record(seq: u64, op: MaintainOp) -> Vec<u8> {
 struct Served {
     index: CoreIndex,
     /// The graph's journal (durable services only).
-    wal: Option<Journal>,
+    wal: Option<Arc<GroupCommitWal>>,
     /// Sequence number of the last applied op.
     seq: u64,
     /// Sequence number of the last completed checkpoint.
@@ -226,19 +190,7 @@ struct Durable {
     /// Compaction threshold in buffered edit entries (see
     /// [`DurableOptions::compact_after_edits`]).
     compact_after_edits: usize,
-    /// `Some` wraps every journal in a [`GroupCommitWal`] at create/open.
-    group_commit: Option<GroupCommitOptions>,
     entries: Mutex<HashMap<String, DurableEntry>>,
-}
-
-impl Durable {
-    /// Wrap a freshly created/opened journal per the service's commit mode.
-    fn journal(&self, wal: Wal) -> Result<Journal> {
-        Ok(match self.group_commit {
-            Some(opts) => Journal::Group(Arc::new(GroupCommitWal::wrap(wal, opts)?)),
-            None => Journal::PerOp(wal),
-        })
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -717,7 +669,6 @@ impl CoreService {
                 dir: dir.to_path_buf(),
                 checkpoint_every: opts.checkpoint_every.max(1),
                 compact_after_edits: opts.compact_after_edits.max(2),
-                group_commit: opts.group_commit,
                 entries: Mutex::new(HashMap::new()),
             }),
             vfs,
@@ -771,7 +722,6 @@ impl CoreService {
                 dir: dir.to_path_buf(),
                 checkpoint_every: opts.checkpoint_every.max(1),
                 compact_after_edits: opts.compact_after_edits.max(2),
-                group_commit: opts.group_commit,
                 entries: Mutex::new(HashMap::new()),
             }),
             vfs,
@@ -922,7 +872,8 @@ impl CoreService {
                 // and the entry map has nothing to refresh yet).
                 self.checkpoint_locked(name, &mut served)?;
                 let counter = served.index.graph_mut().disk().counter().clone();
-                served.wal = Some(d.journal(Wal::create(&wal_path(&d.dir, name), counter)?)?);
+                let wal = Wal::create(&wal_path(&d.dir, name), counter)?;
+                served.wal = Some(Arc::new(GroupCommitWal::wrap(wal)?));
                 lock_meta(&d.entries).insert(
                     name.to_string(),
                     DurableEntry {
@@ -1122,53 +1073,62 @@ impl CoreService {
         self.with_graph(name, |idx| Ok(idx.kmax()))
     }
 
-    /// Apply one typed maintenance operation to the named graph — **the**
-    /// mutation path: validation, journaling, dispatch and checkpointing
-    /// all live here, and [`CoreService::insert_edge`] /
-    /// [`CoreService::delete_edge`] are thin wrappers over it.
+    /// Apply one typed maintenance operation to the named graph: a batch
+    /// of one through [`CoreService::apply_batch`], the single mutation
+    /// path. [`CoreService::insert_edge`] / [`CoreService::delete_edge`]
+    /// are thin wrappers over it.
     ///
     /// Unlike [`CoreIndex::apply`] — which trusts its caller and silently
     /// corrupts state on a duplicate insert or absent delete — this path is
     /// fed raw user input and validates first (one adjacency read). On a
-    /// durable service the validated op is then appended (and fsynced) to
-    /// the graph's journal *before* it is applied, so a crash at any
+    /// durable service the validated op is then appended to the graph's
+    /// journal *before* it is applied, and acknowledged only once a journal
+    /// fsync covers it — an fsync taken after the graph's lock is released,
+    /// so queries and other appliers never wait on it. A crash at any
     /// instant loses at most an op whose success was never reported; every
     /// `checkpoint_every` ops the maintained state is checkpointed and the
     /// journal truncated.
     ///
-    /// Failure containment: a quarantined graph rejects the op; an op that
-    /// fails with an I/O or corruption error — journal append, dispatch, or
-    /// the validating adjacency read — quarantines the graph, because after
-    /// a mid-mutation failure the in-memory state can no longer be trusted.
-    /// Validation rejections (duplicate insert, absent delete, bad node)
-    /// leave the graph serving.
+    /// Failure containment: a quarantined graph rejects the op; a read-only
+    /// graph refuses it. An I/O or corruption error in the validating read
+    /// or the dispatch quarantines the graph, because after a mid-mutation
+    /// failure the in-memory state can no longer be trusted. A journal
+    /// append that fails is rolled back: proven clean, a full disk degrades
+    /// the graph to read-only and any other I/O error quarantines it;
+    /// unproven, it quarantines. A failed fsync always quarantines — the op
+    /// is applied in memory but its durability is unknown. Validation
+    /// rejections (duplicate insert, absent delete, bad node) leave the
+    /// graph serving.
     pub fn apply(&self, name: &str, op: MaintainOp) -> Result<MaintainStats> {
+        let mut stats = self.apply_batch(name, std::slice::from_ref(&op))?;
+        Ok(stats.pop().unwrap_or_default())
+    }
+
+    /// Apply a batch of ops to the named graph, sharing one journal fsync:
+    /// every op is validated, journaled and applied in order under the
+    /// graph's lock, then the lock is released and one barrier makes the
+    /// batch durable (it may also coalesce with other appliers' batches).
+    ///
+    /// Error semantics: ops are applied in order until the first failure;
+    /// the already-applied prefix *stays* applied and is made durable
+    /// before the error is returned (a batch is a convenience, not a
+    /// transaction). Failures are contained exactly as described on
+    /// [`CoreService::apply`]; a failed barrier outranks an in-lock error.
+    pub fn apply_batch(&self, name: &str, ops: &[MaintainOp]) -> Result<Vec<MaintainStats>> {
         let _permit = self.admit(name)?;
         let (handle, health) = self.served_for(name, true)?;
         let mut served = lock_served(name, &handle, &health)?;
-        let res = self.apply_locked(name, &mut served, op, &health);
-        // Under group commit the fsync barrier is crossed *after* the
-        // graph lock is gone: the next applier can validate, journal and
-        // apply while this op's batch is being synced — that overlap is
-        // the whole point. The op is acknowledged only once the barrier
-        // reports its LSN durable.
+        let (res, barrier) = self.commit_locked(name, &mut served, ops, &health);
+        // The fsync barrier is crossed *after* the graph lock is gone: the
+        // next applier can validate, journal and apply, and queries can
+        // read, while this batch is being synced.
         drop(served);
-        let res = match res {
-            Ok((stats, Some((group, lsn)))) => match group.wait_durable(lsn, true) {
-                Ok(()) => Ok(stats),
-                Err(e) => {
-                    // A failed barrier is never a read-only downgrade,
-                    // even on a full disk: the op is applied in memory
-                    // but its durability is unknown, so the state must
-                    // be sealed and rebuilt from the journal's durable
-                    // prefix.
-                    set_quarantine(&health, &format!("group-commit barrier failed: {e}"));
-                    return Err(e);
-                }
-            },
-            Ok((stats, None)) => Ok(stats),
-            Err(e) => Err(e),
-        };
+        if let Some((journal, lsn)) = barrier {
+            if let Err(e) = journal.wait_durable(lsn) {
+                set_quarantine(&health, &format!("maintenance failed: {e}"));
+                return Err(e);
+            }
+        }
         if let Err(e) = &res {
             fail_graph(&health, e, "maintenance failed");
         }
@@ -1194,245 +1154,45 @@ impl CoreService {
         Ok(())
     }
 
-    /// [`CoreService::apply`] past the registry/quarantine gate, with the
-    /// graph's lock held. Returns the stats plus the barrier the caller
-    /// must wait on once the lock is released (group commit only).
-    fn apply_locked(
-        &self,
-        name: &str,
-        served: &mut Served,
-        op: MaintainOp,
-        health: &Mutex<HealthState>,
-    ) -> Result<(MaintainStats, DurabilityTicket)> {
-        {
-            // The validation read is the only cancellable stretch of a
-            // mutation: nothing is journaled or applied yet, so a
-            // deadline expiry here is a clean typed rejection.
-            let _deadline = self.arm_deadline(served);
-            Self::validate_op(served, op)?;
-        }
-        let seq = served.seq + 1;
-        let mut journal_mark = None;
-        let mut ticket = None;
-        if let Some(journal) = served.wal.as_mut() {
-            let payload = encode_record(seq, op);
-            let mark = journal.mark();
-            journal_mark = Some(mark);
-            let appended = match journal {
-                Journal::PerOp(w) => w.append(&payload),
-                Journal::Group(g) => g.submit(&payload).map(|lsn| {
-                    ticket = Some((Arc::clone(g), lsn));
-                }),
-            };
-            if let Err(e) = appended {
-                // The journal already tried to clean its own partial
-                // record up; retry via rollback (idempotent) to *prove*
-                // it clean. Proven, a full disk is a degraded-mode
-                // condition the caller classifies; unproven, a record
-                // whose failure we report might replay after a crash —
-                // seal the graph here.
-                if journal.rollback_to(mark).is_err() {
-                    set_quarantine(
-                        health,
-                        &format!("journal append failed and its rollback failed too: {e}"),
-                    );
-                }
-                return Err(e);
-            }
-        }
-        let stats = match served.index.apply(op) {
-            Ok(stats) => stats,
-            Err(e) => {
-                // The op failed after it was journaled: undo the append so
-                // the journal never records an op whose failure we report
-                // (replaying it would diverge from the acknowledged
-                // history). If even the rollback fails, the record stays —
-                // then the op *is* durably recorded, so consume its
-                // sequence number rather than let the next op reuse it and
-                // poison the journal's gap check. (A rolled-back group
-                // record's LSN stays consumed too — the barrier can still
-                // advance past it, it just vouches for nothing.)
-                if let (Some(journal), Some(mark)) = (served.wal.as_mut(), journal_mark) {
-                    if journal.rollback_to(mark).is_err() {
-                        served.seq = seq;
-                    }
-                }
-                return Err(e);
-            }
-        };
-        served.seq = seq;
-        if let Some(d) = &self.durable {
-            if served.seq - served.ck_seq >= d.checkpoint_every {
-                // The op itself is journaled and applied — durable either
-                // way — so a failed threshold checkpoint must not turn its
-                // acknowledgement into an error (the caller would retry an
-                // op that actually happened). `ck_seq` stays put, the next
-                // op retries the checkpoint, and the journal simply grows
-                // until one succeeds. A *full disk*, though, is actionable
-                // now: degrade to read-only so later mutations get the
-                // typed refusal instead of failing their appends one by
-                // one.
-                if let Err(e) = self.checkpoint_locked(name, served) {
-                    if e.is_disk_full() {
-                        set_read_only(
-                            health,
-                            &format!("threshold checkpoint hit a full disk: {e}"),
-                        );
-                    }
-                }
-            }
-            self.maybe_compact_locked(name, served, health);
-        }
-        Ok((stats, ticket))
-    }
-
-    /// Apply a whole batch of ops to the named graph under **one** fsync:
-    /// every op is validated, journaled (unsynced) and applied in order
-    /// under the graph's lock, then a single barrier makes the batch
-    /// durable. On an fsync-per-op journal this is the only batching path;
-    /// under group commit the barrier may additionally coalesce with other
-    /// appliers' batches.
-    ///
-    /// Error semantics: ops are applied in order until the first failure;
-    /// the already-applied prefix *stays* applied and is made durable
-    /// before the error is returned (a batch is a convenience, not a
-    /// transaction). Journal/dispatch failures quarantine the graph
-    /// exactly like [`CoreService::apply`]; a validation rejection mid-
-    /// batch leaves it serving.
-    pub fn apply_batch(&self, name: &str, ops: &[MaintainOp]) -> Result<Vec<MaintainStats>> {
-        let _permit = self.admit(name)?;
-        let (handle, health) = self.served_for(name, true)?;
-        let mut served = lock_served(name, &handle, &health)?;
-        let (res, ticket) = self.apply_batch_locked(name, &mut served, ops, &health);
-        drop(served);
-        let res = match ticket {
-            Some((group, lsn)) => match (group.wait_durable(lsn, false), res) {
-                (Ok(()), res) => res,
-                // A failed barrier outranks a validation rejection: the
-                // applied prefix cannot be promised durable any more, so
-                // the graph is sealed whatever the in-lock outcome was.
-                (Err(e), _) => {
-                    set_quarantine(&health, &format!("group-commit barrier failed: {e}"));
-                    return Err(e);
-                }
-            },
-            None => res,
-        };
-        if let Err(e) = &res {
-            fail_graph(&health, e, "maintenance failed");
-        }
-        res
-    }
-
-    /// [`CoreService::apply_batch`] under the graph lock. The ticket is
-    /// returned even when the result is an error so the caller can finish
-    /// the barrier covering the applied prefix.
-    #[allow(clippy::type_complexity)]
-    fn apply_batch_locked(
+    /// [`CoreService::apply_batch`] under the graph lock: validate,
+    /// journal and apply each op until the first failure, then checkpoint
+    /// or compact at their thresholds. Returns the outcome plus the
+    /// barrier the caller must wait on once the lock is released — even on
+    /// error, so the applied prefix is made durable before it is reported.
+    fn commit_locked(
         &self,
         name: &str,
         served: &mut Served,
         ops: &[MaintainOp],
         health: &Mutex<HealthState>,
-    ) -> (Result<Vec<MaintainStats>>, DurabilityTicket) {
+    ) -> (Result<Vec<MaintainStats>>, Option<Barrier>) {
         let mut all = Vec::with_capacity(ops.len());
         let mut last_lsn = None;
-        let mut appended = false;
-        let mut outcome: Result<()> = Ok(());
+        let mut outcome = Ok(());
         for &op in ops {
-            let vres = {
-                // Same deadline contract as the single-op path: only the
-                // validation read of each op is cancellable.
-                let _deadline = self.arm_deadline(served);
-                Self::validate_op(served, op)
-            };
-            if let Err(e) = vres {
-                outcome = Err(e);
-                break;
-            }
-            let seq = served.seq + 1;
-            let mut journal_mark = None;
-            let mut journal_err = None;
-            if let Some(journal) = served.wal.as_mut() {
-                let payload = encode_record(seq, op);
-                let mark = journal.mark();
-                journal_mark = Some(mark);
-                match journal {
-                    Journal::PerOp(w) => {
-                        if let Err(e) = w.append_unsynced(&payload) {
-                            journal_err = Some(e);
-                        }
-                    }
-                    Journal::Group(g) => match g.submit(&payload) {
-                        Ok(lsn) => last_lsn = Some(lsn),
-                        Err(e) => journal_err = Some(e),
-                    },
-                }
-                if journal_err.is_none() {
-                    appended = true;
-                } else if journal.rollback_to(mark).is_err() {
-                    // Same contract as the single-op path: an append
-                    // whose cleanup cannot be proven leaves a record
-                    // that might replay after a crash.
-                    set_quarantine(
-                        health,
-                        &format!(
-                            "journal append failed and its rollback failed too: {}",
-                            journal_err
-                                .as_ref()
-                                .map_or_else(String::new, |e| e.to_string())
-                        ),
-                    );
-                }
-            }
-            if let Some(e) = journal_err {
-                outcome = Err(e);
-                break;
-            }
-            match served.index.apply(op) {
-                Ok(stats) => {
-                    served.seq = seq;
+            match self.commit_op(served, op, health) {
+                Ok((stats, lsn)) => {
                     all.push(stats);
+                    last_lsn = lsn.or(last_lsn);
                 }
                 Err(e) => {
-                    // Same contract as the single-op path: never leave a
-                    // journaled record whose failure we report.
-                    if let (Some(journal), Some(mark)) = (served.wal.as_mut(), journal_mark) {
-                        if journal.rollback_to(mark).is_err() {
-                            served.seq = seq;
-                        }
-                    }
                     outcome = Err(e);
                     break;
-                }
-            }
-        }
-        // One barrier for whatever was journaled — even on early error,
-        // the applied prefix must be durable before it is reported.
-        let mut ticket = None;
-        if appended {
-            if let Some(journal) = served.wal.as_mut() {
-                match journal {
-                    Journal::PerOp(w) => {
-                        if let Err(e) = w.sync() {
-                            if outcome.is_ok() {
-                                outcome = Err(e);
-                            }
-                        }
-                    }
-                    Journal::Group(g) => {
-                        if let Some(lsn) = last_lsn {
-                            ticket = Some((Arc::clone(g), lsn));
-                        }
-                    }
                 }
             }
         }
         if outcome.is_ok() {
             if let Some(d) = &self.durable {
                 if served.seq - served.ck_seq >= d.checkpoint_every {
-                    // Best-effort, exactly like the single-op path — but
-                    // a full disk degrades the graph to read-only.
+                    // The ops are journaled and applied — durable either
+                    // way — so a failed threshold checkpoint must not turn
+                    // their acknowledgement into an error (the caller would
+                    // retry ops that actually happened). `ck_seq` stays
+                    // put, the next batch retries the checkpoint, and the
+                    // journal simply grows until one succeeds. A *full
+                    // disk*, though, is actionable now: degrade to
+                    // read-only so later mutations get the typed refusal
+                    // instead of failing their appends one by one.
                     if let Err(e) = self.checkpoint_locked(name, served) {
                         if e.is_disk_full() {
                             set_read_only(
@@ -1445,7 +1205,70 @@ impl CoreService {
                 self.maybe_compact_locked(name, served, health);
             }
         }
-        (outcome.map(|()| all), ticket)
+        let barrier = last_lsn.zip(served.wal.clone()).map(|(lsn, j)| (j, lsn));
+        (outcome.map(|()| all), barrier)
+    }
+
+    /// One op of [`CoreService::commit_locked`]: validate, journal (no
+    /// fsync), apply. Returns the stats and the op's journal LSN.
+    fn commit_op(
+        &self,
+        served: &mut Served,
+        op: MaintainOp,
+        health: &Mutex<HealthState>,
+    ) -> Result<(MaintainStats, Option<u64>)> {
+        {
+            // The validation read is the only cancellable stretch of a
+            // mutation: nothing is journaled or applied yet, so a
+            // deadline expiry here is a clean typed rejection.
+            let _deadline = self.arm_deadline(served);
+            Self::validate_op(served, op)?;
+        }
+        let seq = served.seq + 1;
+        let mut record = None;
+        if let Some(journal) = &served.wal {
+            let mark = journal.mark();
+            match journal.submit(&encode_record(seq, op)) {
+                Ok(lsn) => record = Some((mark, lsn)),
+                Err(e) => {
+                    // The journal already tried to clean its own partial
+                    // record up; retry via rollback (idempotent) to *prove*
+                    // it clean. Proven, the caller classifies the error;
+                    // unproven, a record whose failure we report might
+                    // replay after a crash — seal the graph here.
+                    if journal.rollback_to(mark).is_err() {
+                        set_quarantine(
+                            health,
+                            &format!("journal append failed and its rollback failed too: {e}"),
+                        );
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        match served.index.apply(op) {
+            Ok(stats) => {
+                served.seq = seq;
+                Ok((stats, record.map(|(_, lsn)| lsn)))
+            }
+            Err(e) => {
+                // The op failed after it was journaled: undo the append so
+                // the journal never records an op whose failure we report
+                // (replaying it would diverge from the acknowledged
+                // history). If even the rollback fails, the record stays —
+                // then the op *is* recorded, so consume its sequence
+                // number rather than let the next op reuse it and poison
+                // the journal's gap check. (A rolled-back record's LSN
+                // stays consumed too — the barrier can still advance past
+                // it, it just vouches for nothing.)
+                if let (Some(journal), Some((mark, _))) = (&served.wal, record) {
+                    if journal.rollback_to(mark).is_err() {
+                        served.seq = seq;
+                    }
+                }
+                Err(e)
+            }
+        }
     }
 
     /// Insert an edge into the named graph, maintaining its cores
@@ -1655,8 +1478,8 @@ impl CoreService {
         // artefacts between states, which the caller's classification
         // treats as seal-worthy whatever the error kind.
         *committed = true;
-        if let Some(wal) = served.wal.as_mut() {
-            wal.truncate()?;
+        if let Some(wal) = &served.wal {
+            wal.truncate_satisfy()?;
         }
         served.ck_seq = served.seq;
         let disk = DiskGraph::open_pooled(&new_base, counter, &self.pool, charge_bytes)?;
@@ -1959,33 +1782,6 @@ impl CoreService {
         }
     }
 
-    /// Flush every served graph's journal — the drain hook the server
-    /// calls before closing sockets: group-commit records still awaiting
-    /// a barrier are fsynced now (fsync-per-op journals have nothing
-    /// pending by construction). Best-effort: a graph whose flush fails
-    /// is quarantined through the normal classification and the drain
-    /// keeps going.
-    pub fn flush_journals(&self) {
-        for name in self.graph_names() {
-            let Ok((handle, health)) = self.slot_parts(&name) else {
-                continue;
-            };
-            // Skip poisoned graphs: their journals stop at the last
-            // acknowledged op, which is exactly what recovery wants.
-            let Ok(served) = handle.lock() else { continue };
-            let pending = match &served.wal {
-                Some(Journal::Group(g)) => Some(Arc::clone(g)),
-                _ => None,
-            };
-            drop(served);
-            if let Some(g) = pending {
-                if let Err(e) = g.flush() {
-                    set_quarantine(&health, &format!("drain flush failed: {e}"));
-                }
-            }
-        }
-    }
-
     /// Supervisor poll: `(status, repair_attempts, sticky,
     /// next_attempt_at)` of a graph, or `None` once it left the registry.
     fn health_brief(&self, name: &str) -> Option<(HealthStatus, u32, bool, Option<Instant>)> {
@@ -2089,8 +1885,10 @@ impl CoreService {
             &state.cnt,
             &edits,
         )?;
-        if let Some(wal) = served.wal.as_mut() {
-            wal.truncate()?;
+        // Emptying the journal also satisfies any applier still waiting on
+        // its barrier: the checkpoint just made its op durable.
+        if let Some(wal) = &served.wal {
+            wal.truncate_satisfy()?;
         }
         served.ck_seq = served.seq;
         // Refresh the in-memory entry so the *next* registry-shape rewrite
@@ -2239,7 +2037,7 @@ impl CoreService {
         }
         Ok(Served {
             index,
-            wal: Some(d.journal(wal)?),
+            wal: Some(Arc::new(GroupCommitWal::wrap(wal)?)),
             seq,
             ck_seq: ck.seq,
         })
@@ -2701,7 +2499,6 @@ mod tests {
                 // bound; the compaction threshold is the memory bound.
                 checkpoint_every: 1000,
                 compact_after_edits: 4,
-                ..Default::default()
             },
         )
         .unwrap();

@@ -14,8 +14,9 @@
 //! tenants — cross-tenant reads are answered from the in-memory core
 //! state and charge nothing, which is exactly why the differential can
 //! demand equality rather than mere plausibility. A second test runs the
-//! same fleet against a durable, group-commit service and demands the
-//! reopened catalog recover the final state bit-identically.
+//! same fleet against a durable service and demands the reopened catalog
+//! recover the final state bit-identically; a third holds an update inside
+//! its journal fsync and demands that queries keep answering meanwhile.
 //!
 //! Client counts run 1/2/4 by default; CI sets `KCORE_CLIENTS` to push
 //! the soak wider (e.g. 8) without slowing the local default.
@@ -24,12 +25,10 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-use graphstore::{
-    EvictionPolicy, GroupCommitOptions, MemGraph, QosConfig, TempDir, DEFAULT_BLOCK_SIZE,
-};
+use graphstore::{EvictionPolicy, MemGraph, QosConfig, TempDir, Vfs, DEFAULT_BLOCK_SIZE};
 use kcore_suite::{CoreService, DurableOptions};
 use semicore::ScanExecutor;
-use testutil::{oracle_cores, Lcg};
+use testutil::{oracle_cores, Lcg, SyncGateVfs};
 
 const BUDGET: u64 = 32 << 20;
 const STEPS: usize = 40;
@@ -270,7 +269,7 @@ fn concurrent_serving_is_indistinguishable_from_sequential_replay() {
     }
 }
 
-/// The same fleet against a durable group-commit service: after the soak,
+/// The same fleet against a durable service: after the soak,
 /// closing and reopening the catalog must recover every tenant's final
 /// cores bit-identically (group commit batches acknowledgements, it never
 /// weakens them).
@@ -290,9 +289,6 @@ fn group_commit_soak_recovers_final_state_bit_identically() {
             ScanExecutor::Sequential,
             DurableOptions {
                 checkpoint_every: 16,
-                group_commit: Some(GroupCommitOptions {
-                    max_delay: Duration::from_micros(200),
-                }),
                 ..Default::default()
             },
         )
@@ -326,4 +322,58 @@ fn group_commit_soak_recovers_final_state_bit_identically() {
     }
     let report = kcore_suite::fsck(&data, false).unwrap();
     assert!(report.clean(), "post-soak fsck: {:?}", report.findings);
+}
+
+/// An update's journal fsync runs after the graph lock is released: while
+/// `insert_edge` sits inside that fsync, a query on the same graph still
+/// answers. The receive timeout is only a watchdog — the query must finish
+/// while the gate is still closed.
+#[test]
+fn query_does_not_wait_for_an_updates_journal_fsync() {
+    let dir = TempDir::new("conc-fsync").unwrap();
+    let gate = SyncGateVfs::new("wal");
+    let svc = Arc::new(
+        CoreService::create_durable_with_vfs(
+            &dir.path().join("data"),
+            DEFAULT_BLOCK_SIZE,
+            BUDGET,
+            EvictionPolicy::ScanLifo,
+            ScanExecutor::Sequential,
+            DurableOptions::default(),
+            Arc::clone(&gate) as Arc<dyn Vfs>,
+        )
+        .unwrap(),
+    );
+    let edges = [(0u32, 1u32), (1, 2), (0, 2), (2, 3)];
+    svc.create("g", &dir.path().join("g"), edges, 4).unwrap();
+
+    let before = gate.entered();
+    gate.set_closed(true);
+    let writer = {
+        let svc = Arc::clone(&svc);
+        std::thread::spawn(move || svc.insert_edge("g", 1, 3))
+    };
+    assert!(
+        gate.await_entered(before + 1, Duration::from_secs(10)),
+        "the insert never reached its journal fsync"
+    );
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader = {
+        let svc = Arc::clone(&svc);
+        std::thread::spawn(move || tx.send(svc.kmax("g")))
+    };
+    let kmax = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("kmax waited for the update's journal fsync");
+    assert_eq!(kmax.unwrap(), 2);
+    assert!(
+        !writer.is_finished(),
+        "the insert is still inside its fsync"
+    );
+
+    reader.join().unwrap().unwrap();
+    gate.set_closed(false);
+    writer.join().unwrap().unwrap();
+    assert!(svc.verify("g").unwrap());
 }

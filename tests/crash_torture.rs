@@ -24,12 +24,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
-use graphstore::{
-    EvictionPolicy, FaultPlan, FaultVfs, GroupCommitOptions, MemGraph, TempDir, Vfs,
-    DEFAULT_BLOCK_SIZE,
-};
+use graphstore::{EvictionPolicy, FaultPlan, FaultVfs, MemGraph, TempDir, Vfs, DEFAULT_BLOCK_SIZE};
 use kcore_suite::{CoreService, DurableOptions};
 use semicore::{MaintainOp, ScanExecutor};
 use testutil::oracle_cores;
@@ -165,7 +161,6 @@ impl Scenario {
 fn run_scenario(vfs: Arc<dyn Vfs>, data: &Path, bases: &Path, sc: &Scenario) -> (bool, Vec<bool>) {
     let opts = DurableOptions {
         checkpoint_every: 3,
-        group_commit: None,
         ..Default::default()
     };
     let svc = match CoreService::create_durable_with_vfs(
@@ -313,7 +308,6 @@ fn quarantine_isolates_tenant_and_fsck_catches_bit_rot() {
         ScanExecutor::Sequential,
         DurableOptions {
             checkpoint_every: 8,
-            group_commit: None,
             ..Default::default()
         },
         Arc::clone(&fault) as Arc<dyn Vfs>,
@@ -416,13 +410,13 @@ fn quarantine_isolates_tenant_and_fsck_catches_bit_rot() {
 }
 
 // ---------------------------------------------------------------------------
-// Group-commit crash stream: the torture matrix again, but with journal
-// fsyncs batched behind `GroupCommitOptions` and the ops arriving as
-// `apply_batch` groups. The acknowledgement contract must not weaken: a
-// batch that returned `Ok` is an *acked* batch and recovers in full at
-// every crash point; the single in-flight batch may recover any prefix of
-// itself (including empty) — never a suffix, never a partially-acked
-// earlier batch, never a third state.
+// Group-commit crash stream: the torture matrix again, but with the ops
+// arriving as `apply_batch` groups that share one journal fsync each. The
+// acknowledgement contract must not weaken: a batch that returned `Ok` is
+// an *acked* batch and recovers in full at every crash point; the single
+// in-flight batch may recover any prefix of itself (including empty) —
+// never a suffix, never a partially-acked earlier batch, never a third
+// state.
 // ---------------------------------------------------------------------------
 
 const GC: &str = "gc";
@@ -484,9 +478,6 @@ fn run_gc_stream(
 ) -> (bool, Vec<bool>) {
     let opts = DurableOptions {
         checkpoint_every: 4,
-        group_commit: Some(GroupCommitOptions {
-            max_delay: Duration::ZERO,
-        }),
         ..Default::default()
     };
     let svc = match CoreService::create_durable_with_vfs(
@@ -579,7 +570,6 @@ fn run_cp_stream(
 ) -> (bool, Vec<bool>) {
     let opts = DurableOptions {
         checkpoint_every: 100,
-        group_commit: None,
         compact_after_edits: 4,
     };
     let svc = match CoreService::create_durable_with_vfs(

@@ -56,7 +56,6 @@ fn durable_service(data: &Path, policy: EvictionPolicy, checkpoint_every: u64) -
         ScanExecutor::Sequential,
         DurableOptions {
             checkpoint_every,
-            group_commit: None,
             ..Default::default()
         },
     )

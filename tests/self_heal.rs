@@ -14,6 +14,9 @@
 //! * `ENOSPC` degrades to read-only instead of quarantining — committed
 //!   state keeps serving — and the self-heal supervisor promotes the
 //!   graph back once space returns;
+//! * `ENOSPC` from a journal fsync, after the batch it covers is applied
+//!   in memory, quarantines instead, and repair lands the acknowledged
+//!   prefix or that prefix plus the whole batch;
 //! * a repair that cannot succeed (corrupted checkpoint) exhausts the
 //!   supervisor's retries and escalates to a sticky quarantine whose
 //!   reason chain preserves the whole causal history;
@@ -25,9 +28,10 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use graphstore::{EvictionPolicy, FaultPlan, FaultVfs, TempDir, Vfs, DEFAULT_BLOCK_SIZE};
+use graphstore::{EvictionPolicy, FaultPlan, FaultVfs, MemGraph, TempDir, Vfs, DEFAULT_BLOCK_SIZE};
 use kcore_suite::{start_self_heal, CoreService, DurableOptions, HealthStatus, SelfHealOptions};
-use semicore::ScanExecutor;
+use semicore::{MaintainOp, ScanExecutor};
+use testutil::oracle_cores;
 
 const BUDGET: u64 = 4 << 20;
 
@@ -67,10 +71,7 @@ fn durable_with_faults(data: &Path, fault: &Arc<FaultVfs>) -> CoreService {
         BUDGET,
         EvictionPolicy::ScanLifo,
         ScanExecutor::from_env(),
-        DurableOptions {
-            group_commit: None,
-            ..Default::default()
-        },
+        DurableOptions::default(),
         Arc::clone(fault) as Arc<dyn Vfs>,
     )
     .unwrap()
@@ -291,6 +292,55 @@ fn enospc_degrades_read_only_and_supervisor_promotes_back() {
         twin.insert_edge("g", u, v).unwrap();
     }
     assert_eq!(state_of(&svc, "g"), state_of(&twin, "g"));
+    assert!(svc.verify("g").unwrap());
+}
+
+/// A journal fsync failing with `ENOSPC` after its batch is applied in
+/// memory quarantines the graph rather than degrading it to read-only: a
+/// read-only probe would checkpoint that memory and make durable a batch
+/// reported as failed. Repair rebuilds from the journal instead.
+#[test]
+fn disk_full_journal_barrier_quarantines_and_repair_keeps_acked_prefix() {
+    let dir = TempDir::new("heal-full-barrier").unwrap();
+    std::fs::create_dir_all(dir.path().join("bases")).unwrap();
+    let edges = normalized(graphgen::gnm(40, 90, 41));
+    let present: BTreeSet<(u32, u32)> = edges.iter().copied().collect();
+    let fresh = fresh_edges(&present, 40, 5, 5);
+    let (acked, batch) = fresh.split_at(2);
+
+    let fault = FaultVfs::new(FaultPlan::default());
+    let svc = durable_with_faults(&dir.path().join("data"), &fault);
+    svc.create("g", &dir.path().join("bases/g"), edges.iter().copied(), 40)
+        .unwrap();
+    for &(u, v) in acked {
+        svc.insert_edge("g", u, v).unwrap();
+    }
+
+    // The batch validates, journals and applies; its fsync finds the disk
+    // full.
+    fault.set_plan(FaultPlan {
+        enospc_fsync: Some(1),
+        ..FaultPlan::default()
+    });
+    let ops: Vec<MaintainOp> = batch
+        .iter()
+        .map(|&(u, v)| MaintainOp::Insert(u, v))
+        .collect();
+    svc.apply_batch("g", &ops).unwrap_err();
+    fault.set_plan(FaultPlan::default());
+    assert_eq!(svc.health("g").unwrap().status, HealthStatus::Quarantined);
+
+    svc.repair("g").unwrap();
+    let world = |extra: &[(u32, u32)]| {
+        let mut set = present.clone();
+        set.extend(acked.iter().chain(extra).copied());
+        oracle_cores(&MemGraph::from_edges(set, 40))
+    };
+    let got = svc.cores("g").unwrap();
+    assert!(
+        got == world(&[]) || got == world(batch),
+        "repair recovered neither the acked prefix nor prefix plus batch"
+    );
     assert!(svc.verify("g").unwrap());
 }
 

@@ -4,8 +4,8 @@
 //! correctly afterwards; over TCP, one connection degrading a tenant to
 //! read-only must not disturb a concurrent connection serving another
 //! tenant, the connection limit must shed with a parseable line, and
-//! shutdown must drain in-flight ops and flush the group-commit journal
-//! before closing sockets.
+//! shutdown must drain in-flight ops, journal fsync included, before
+//! closing sockets.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -15,12 +15,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use graphstore::{
-    EvictionPolicy, FaultPlan, FaultVfs, GroupCommitOptions, IoCounter, MemGraph, QosConfig,
-    TempDir, Vfs, DEFAULT_BLOCK_SIZE,
+    EvictionPolicy, FaultPlan, FaultVfs, IoCounter, MemGraph, QosConfig, TempDir, Vfs,
+    DEFAULT_BLOCK_SIZE,
 };
 use kcore_suite::server::{Server, ServerOptions};
 use kcore_suite::{CoreService, DurableOptions};
 use semicore::ScanExecutor;
+use testutil::SyncGateVfs;
 
 fn write_triangle_tail(base: &Path) {
     let mem = MemGraph::from_edges(vec![(0u32, 1u32), (1, 2), (0, 2), (2, 3)], 4);
@@ -202,7 +203,6 @@ fn tcp_connection_tripping_quarantine_does_not_disturb_the_other() {
             ScanExecutor::Sequential,
             DurableOptions {
                 checkpoint_every: 8,
-                group_commit: None,
                 ..Default::default()
             },
             Arc::clone(&fault) as Arc<dyn Vfs>,
@@ -276,28 +276,25 @@ fn tcp_connection_tripping_quarantine_does_not_disturb_the_other() {
 }
 
 /// Graceful drain: `Server::shutdown` must let an in-flight command
-/// finish and write its reply (never cut the socket mid-op), then flush
-/// the group-commit journal so the acknowledged op survives a reopen.
+/// finish — its journal fsync included — and write its reply (never cut
+/// the socket mid-op), so the acknowledged op survives a reopen.
 #[test]
 fn shutdown_drains_in_flight_ops_and_flushes_group_commit() {
     let dir = TempDir::new("tcp-drain").unwrap();
     let (data, bases) = (dir.path().join("data"), dir.path().join("bases"));
     std::fs::create_dir_all(&bases).unwrap();
+    // A gate on the journal's fsync keeps the insert in flight while
+    // shutdown starts.
+    let gate = SyncGateVfs::new("wal");
     let svc = Arc::new(
-        CoreService::create_durable_with(
+        CoreService::create_durable_with_vfs(
             &data,
             DEFAULT_BLOCK_SIZE,
             4 << 20,
             EvictionPolicy::ScanLifo,
             ScanExecutor::Sequential,
-            DurableOptions {
-                // A long gather window keeps the insert's durability
-                // barrier in flight while shutdown starts.
-                group_commit: Some(GroupCommitOptions {
-                    max_delay: Duration::from_millis(150),
-                }),
-                ..Default::default()
-            },
+            DurableOptions::default(),
+            Arc::clone(&gate) as Arc<dyn Vfs>,
         )
         .unwrap(),
     );
@@ -310,11 +307,21 @@ fn shutdown_drains_in_flight_ops_and_flushes_group_commit() {
     let (mut a, mut ra) = connect(&server);
     assert_eq!(ask(&mut a, &mut ra, "kmax g"), "kmax = 2");
 
-    // Launch the mutation on its own thread, then drain while its
-    // group-commit barrier still gathers.
+    // Launch the mutation on its own thread, then drain while it sits in
+    // its journal fsync; the gate opens once shutdown is under way.
+    let before = gate.entered();
+    gate.set_closed(true);
     let inflight = std::thread::spawn(move || ask(&mut a, &mut ra, "insert g 1 3"));
-    std::thread::sleep(Duration::from_millis(30));
+    assert!(gate.await_entered(before + 1, Duration::from_secs(10)));
+    let opener = {
+        let gate = Arc::clone(&gate);
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            gate.set_closed(false);
+        })
+    };
     server.shutdown();
+    opener.join().unwrap();
     let reply = inflight.join().expect("in-flight client thread");
     assert!(
         reply.contains("node computations"),
