@@ -1,5 +1,5 @@
 //! Decode bandwidth — format v2 (delta-gap varints) vs v3 (stream-vbyte
-//! groups), plus the readahead-pipelined full scan.
+//! groups), plus a full v3 disk scan.
 //!
 //! Varint decode is branchy: every byte carries a continuation bit, so the
 //! decoder cannot know where value `i + 1` starts before finishing value
@@ -8,16 +8,11 @@
 //! the data stream into straight-line loads — and on SSE-class hardware
 //! into one `pshufb` per four gaps. This harness measures the in-memory
 //! decode rate of both codecs over the same R-MAT adjacency lists and the
-//! end-to-end full-scan wall time with block readahead on and off.
+//! end-to-end wall time of a full v3 scan from disk.
 //!
 //! The binary is also the format's regression gate: it **fails loudly**
 //! (non-zero exit) if the v3 decoder (runtime-dispatched) delivers less
-//! than 2x the v2 scalar decode bandwidth, or if readahead changes any
-//! charged counter. The full (non-`--smoke`) run on a machine with at
-//! least two cores additionally requires the readahead scan's
-//! best-of-trials wall time to be no slower than 1.05x the synchronous
-//! scan (with one core the worker has nothing to overlap with and the
-//! comparison only measures scheduling overhead).
+//! than 2x the v2 scalar decode bandwidth.
 //!
 //! ```sh
 //! cargo run --release -p kcore-bench --bin decode_bw \
@@ -77,13 +72,9 @@ fn decode_pass(c: &Corpus, mut decode: impl FnMut(&[u8], usize, &mut Vec<u32>)) 
 }
 
 /// Full-graph `with_adjacency` sweep; returns (wall, charged snapshot).
-fn sweep(
-    base: &std::path::Path,
-    readahead: bool,
-) -> graphstore::Result<(Duration, graphstore::IoSnapshot)> {
+fn sweep(base: &std::path::Path) -> graphstore::Result<(Duration, graphstore::IoSnapshot)> {
     let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
     let mut dg = DiskGraph::open(base, counter.clone())?;
-    dg.set_readahead(readahead)?;
     let t0 = Instant::now();
     let mut checksum = 0u64;
     for v in 0..dg.num_nodes() {
@@ -163,9 +154,7 @@ fn main() -> graphstore::Result<()> {
     }
     t.print();
 
-    // End-to-end: the same graph on disk in v3, full scan with the block
-    // readahead pipeline on vs off. Charged counters must be bit-identical
-    // — readahead only moves *physical* fetches off the critical path.
+    // End-to-end: the same graph on disk in v3, one full scan per trial.
     let dir = graphstore::TempDir::new("decode-bw")?;
     let base = dir.path().join("g3");
     write_mem_graph_with(
@@ -175,25 +164,22 @@ fn main() -> graphstore::Result<()> {
         FormatVersion::V3,
     )?;
     let edge_bytes = std::fs::metadata(GraphPaths::from_base(&base).edges)?.len();
-    let mut wall = [Duration::MAX; 2]; // [off, on]
-    let mut snaps = [None, None];
+    let mut wall = Duration::MAX;
+    let mut snap = None;
     for _ in 0..trials {
-        for (i, ra) in [(0usize, false), (1usize, true)] {
-            let (w, s) = sweep(&base, ra)?;
-            wall[i] = wall[i].min(w);
-            if let Some(prev) = &snaps[i] {
-                assert_eq!(prev, &s, "scan charging must be deterministic");
-            }
-            snaps[i] = Some(s);
+        let (w, s) = sweep(&base)?;
+        wall = wall.min(w);
+        if let Some(prev) = &snap {
+            assert_eq!(prev, &s, "scan charging must be deterministic");
         }
+        snap = Some(s);
     }
-    let (s_off, s_on) = (snaps[0].unwrap(), snaps[1].unwrap());
+    let scan = snap.expect("at least one trial");
     println!(
-        "\nfull v3 scan ({} on disk): sync {:.1} ms vs readahead {:.1} ms; charged reads {} both",
+        "\nfull v3 scan ({} on disk): {:.1} ms; charged reads {}",
         fmt_bytes(edge_bytes),
-        wall[0].as_secs_f64() * 1e3,
-        wall[1].as_secs_f64() * 1e3,
-        fmt_count(s_off.read_ios),
+        wall.as_secs_f64() * 1e3,
+        fmt_count(scan.read_ios),
     );
 
     if !json_path.is_empty() {
@@ -203,49 +189,25 @@ fn main() -> graphstore::Result<()> {
             .open(&json_path)?;
         writeln!(
             f,
-            "{{\"bench\":\"decode_bw\",\"family\":\"{family}\",\"ids\":{ids},\"v2_bytes\":{},\"v3_bytes\":{},\"v2_scalar_ids_per_s\":{:.0},\"v3_scalar_ids_per_s\":{:.0},\"v3_auto_ids_per_s\":{:.0},\"memcpy_ids_per_s\":{:.0},\"scan_read_ios\":{},\"scan_sync_ns\":{},\"scan_readahead_ns\":{}}}",
+            "{{\"bench\":\"decode_bw\",\"family\":\"{family}\",\"ids\":{ids},\"v2_bytes\":{},\"v3_bytes\":{},\"v2_scalar_ids_per_s\":{:.0},\"v3_scalar_ids_per_s\":{:.0},\"v3_auto_ids_per_s\":{:.0},\"memcpy_ids_per_s\":{:.0},\"scan_read_ios\":{},\"scan_sync_ns\":{}}}",
             v2.bytes.len(),
             v3.bytes.len(),
             v2_rate,
             v3_scalar_rate,
             v3_rate,
             memcpy_rate,
-            s_off.read_ios,
-            wall[0].as_nanos(),
-            wall[1].as_nanos(),
+            scan.read_ios,
+            wall.as_nanos(),
         )?;
         println!("results appended to {json_path}");
     }
 
-    // Regression gates.
-    let mut violations = Vec::new();
+    // Regression gate.
     if v3_rate < 2.0 * v2_rate {
-        violations.push(format!(
-            "v3 decode bandwidth {:.0} ids/s is below 2x the v2 scalar {:.0} ids/s",
+        eprintln!(
+            "DECODE BANDWIDTH REGRESSION: v3 decode bandwidth {:.0} ids/s is below 2x the v2 scalar {:.0} ids/s",
             v3_rate, v2_rate
-        ));
-    }
-    if s_on != s_off {
-        violations.push(format!(
-            "readahead changed charged counters: {s_on:?} vs {s_off:?}"
-        ));
-    }
-    // The wall gate needs real work per scan to rise above scheduler noise
-    // (the smoke corpus finishes in microseconds) and a second core for the
-    // prefetch worker to run on — on one CPU the pipeline cannot overlap
-    // anything and the comparison measures pure scheduling overhead, so it
-    // is reported above but only enforced with ≥ 2 cores (best-of-trials,
-    // 5% tolerance).
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if !smoke && cores >= 2 && wall[1] > wall[0].mul_f64(1.05) {
-        violations.push(format!(
-            "readahead scan {:.1} ms is slower than sync {:.1} ms (>5%)",
-            wall[1].as_secs_f64() * 1e3,
-            wall[0].as_secs_f64() * 1e3,
-        ));
-    }
-    if !violations.is_empty() {
-        eprintln!("DECODE BANDWIDTH REGRESSION: {}", violations.join("; "));
+        );
         std::process::exit(1);
     }
     Ok(())

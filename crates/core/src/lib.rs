@@ -20,16 +20,13 @@
 //! (with block-accurate I/O accounting), buffered dynamic graphs, or pure
 //! in-memory graphs.
 //!
-//! ## Scan execution (sequential or parallel)
+//! ## Scan schedule
 //!
-//! Each decomposition algorithm also comes in a `_with` form
-//! ([`semicore_with`], [`semicore_plus_with`], [`semicore_star_with`],
-//! [`semicore_star_state_with`]) taking a [`ScanExecutor`]: the sequential
-//! executor reproduces the paper's exact schedule, while
-//! [`ScanExecutor::Parallel`] shards every convergence pass across a worker
-//! pool reading through [`graphstore::ShardableRead`] handles — final core
-//! numbers are bit-identical, wall-clock drops with cores. See
-//! [`executor`] for the determinism and charged-I/O guarantees.
+//! Every decomposition runs the paper's schedule: one thread walks the
+//! `[vmin, vmax]` window in ascending node order and updates estimates **in
+//! place**, so a node recomputed late in a pass already sees the pass's
+//! earlier updates. The iteration and node-computation counts of
+//! Examples 4.1–4.3 are those of this schedule.
 //!
 //! ## Maintenance (§V)
 //!
@@ -61,7 +58,6 @@
 pub mod analysis;
 pub mod bits;
 pub mod emcore;
-pub mod executor;
 pub mod fixtures;
 pub mod imcore;
 pub mod localcore;
@@ -75,7 +71,6 @@ pub mod verify;
 pub mod window;
 
 pub use emcore::{emcore, EmCoreOptions};
-pub use executor::ScanExecutor;
 pub use imcore::imcore;
 pub use maintain::delete::semi_delete_star;
 pub use maintain::engine::{InsertAlgorithm, MaintainOp, MaintenanceEngine, MAINTAIN_OP_LEN};
@@ -83,11 +78,9 @@ pub use maintain::inmem::InMemoryCores;
 pub use maintain::insert::semi_insert;
 pub use maintain::insert_star::semi_insert_star;
 pub use maintain::{MaintainStats, SparseMarks};
-pub use semicore::{semicore, semicore_with};
-pub use semicore_plus::{semicore_plus, semicore_plus_with};
-pub use semicore_star::{
-    semicore_star, semicore_star_state, semicore_star_state_with, semicore_star_with,
-};
+pub use semicore::semicore;
+pub use semicore_plus::semicore_plus;
+pub use semicore_star::{semicore_star, semicore_star_state};
 pub use state::CoreState;
-pub use stats::{DecomposeOptions, Decomposition, RunStats};
+pub use stats::{DecomposeOptions, Decomposition, RunStats, ScanExecutor};
 pub use verify::{find_violations, verify_cores, verify_exact, Violation};

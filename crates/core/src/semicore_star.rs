@@ -13,9 +13,8 @@
 
 use std::time::Instant;
 
-use graphstore::{AdjacencyRead, Result, ShardableRead};
+use graphstore::{AdjacencyRead, Result};
 
-use crate::executor::{self, PassKind, ScanExecutor};
 use crate::localcore::{compute_cnt, local_core, Scratch};
 use crate::state::CoreState;
 use crate::stats::{DecomposeOptions, Decomposition, RunStats};
@@ -85,142 +84,6 @@ pub(crate) fn star_converge(
         window.end_iteration();
     }
     Ok(())
-}
-
-/// Run SemiCore* with an explicit [`ScanExecutor`], returning the full
-/// `(core, cnt)` state.
-///
-/// [`ScanExecutor::Sequential`] is exactly [`semicore_star_state`]. The
-/// parallel executor fixes each pass's victim set (`cnt < core` inside the
-/// window) up front, shards it across workers computing against a frozen
-/// snapshot, and merges core updates, Eq. 2 supports and neighbour `cnt`
-/// corrections in shard order (see [`crate::executor`]). Final `(core,
-/// cnt)` state is bit-identical to the sequential run's — both satisfy the
-/// Eq. 2 invariant over the unique decomposition. Falls back to the
-/// sequential schedule when the backend cannot shard.
-pub fn semicore_star_state_with<G: ShardableRead>(
-    g: &mut G,
-    opts: &DecomposeOptions,
-    exec: ScanExecutor,
-) -> Result<(CoreState, RunStats)> {
-    if let Some(workers) = exec.worker_count() {
-        if let Some(mut shards) = executor::shard_handles(g, workers)? {
-            return star_state_parallel(g, &mut shards, opts);
-        }
-    }
-    semicore_star_state(g, opts)
-}
-
-/// Run SemiCore* with an explicit [`ScanExecutor`].
-pub fn semicore_star_with<G: ShardableRead>(
-    g: &mut G,
-    opts: &DecomposeOptions,
-    exec: ScanExecutor,
-) -> Result<Decomposition> {
-    let (state, stats) = semicore_star_state_with(g, opts, exec)?;
-    Ok(Decomposition {
-        core: state.core,
-        stats,
-    })
-}
-
-/// The parallel schedule for Algorithm 5's convergence loop.
-fn star_state_parallel<G: ShardableRead>(
-    g: &mut G,
-    shards: &mut [G::Shard],
-    opts: &DecomposeOptions,
-) -> Result<(CoreState, RunStats)> {
-    let start = Instant::now();
-    let io_before = g.io();
-    let mut stats = RunStats::new("SemiCore*");
-
-    let degrees = g.read_degrees()?;
-    let mut state = CoreState::initial(degrees.clone());
-    let mut window = ScanWindow::full(g.num_nodes());
-    let mut per_iter = opts.track_changed_per_iteration.then(Vec::new);
-    let mut victims: Vec<u32> = Vec::new();
-    let mut peak_pass_bytes = 0u64;
-
-    if state.core.is_empty() {
-        window.update = false;
-    }
-    while window.update {
-        window.begin_iteration();
-        let (lo, hi) = window.current_range();
-        victims.clear();
-        for v in lo..=hi {
-            // The Lemma 4.2 trigger, evaluated once at pass start.
-            if (state.cnt[v as usize] as i64) < state.core[v as usize] as i64 {
-                victims.push(v);
-            }
-        }
-        // `state.core` is frozen for the duration of the pass (all three
-        // merge phases run strictly after), so the borrow is the snapshot.
-        let outs = executor::run_pass(shards, &state.core, &degrees, &victims, PassKind::Counted)?;
-        stats.node_computations += victims.len() as u64;
-        let mut changed = 0u64;
-        // Phase 1: new estimates, and each victim's Eq. 2 support relative
-        // to the snapshot (Alg. 5 line 10 against the pass-start state).
-        for out in &outs {
-            for u in &out.updates {
-                if u.cnew != u.cold {
-                    changed += 1;
-                }
-                state.core[u.v as usize] = u.cnew;
-                state.cnt[u.v as usize] = u.support as i32;
-            }
-        }
-        // Phase 2: cnt corrections (Alg. 5 line 11 in message form). A
-        // neighbour w of u dropped from `wold` to `wnew` this pass; u loses
-        // one supporter exactly when the drop crossed u's final estimate.
-        // Estimates only decrease, so the `(wnew, wold]` intervals of one
-        // node across passes are disjoint — no drop is counted twice.
-        for out in &outs {
-            for t in &out.touched {
-                let cu = state.core[t.u as usize];
-                if t.wold >= cu && t.wnew < cu {
-                    state.cnt[t.u as usize] -= 1;
-                }
-            }
-        }
-        // Phase 3: reschedule Lemma 4.2 violations among this pass's
-        // candidates. Nodes untouched by the pass cannot have started
-        // violating (their cnt and core are unchanged).
-        for out in &outs {
-            for u in &out.updates {
-                if (state.cnt[u.v as usize] as i64) < state.core[u.v as usize] as i64 {
-                    window.schedule_next(u.v);
-                }
-            }
-            for t in &out.touched {
-                if (state.cnt[t.u as usize] as i64) < state.core[t.u as usize] as i64 {
-                    window.schedule_next(t.u);
-                }
-            }
-        }
-        peak_pass_bytes = peak_pass_bytes.max(outs.iter().map(|o| o.resident_bytes()).sum());
-        stats.iterations += 1;
-        if let Some(p) = per_iter.as_mut() {
-            p.push(changed);
-        }
-        window.end_iteration();
-    }
-    if let Some(p) = per_iter.as_mut() {
-        while p.last() == Some(&0) {
-            p.pop();
-        }
-    }
-
-    // (core, cnt) + degrees + victim list, plus the merge buffers' peak
-    // (the workers' snapshot is a borrow of `core`; shard views are
-    // counted in the pass bytes).
-    stats.peak_memory_bytes = state.resident_bytes()
-        + ((degrees.len() + victims.capacity()) * 4) as u64
-        + peak_pass_bytes;
-    stats.io = g.io().since(&io_before);
-    stats.wall_time = start.elapsed();
-    stats.changed_per_iteration = per_iter;
-    Ok((state, stats))
 }
 
 /// Run SemiCore* (Algorithm 5) and return the full `(core, cnt)` state —
@@ -407,70 +270,5 @@ mod tests {
         let mut g = MemGraph::from_edges(Vec::<(u32, u32)>::new(), 0);
         let d = semicore_star(&mut g, &DecomposeOptions::default()).unwrap();
         assert!(d.core.is_empty());
-    }
-
-    #[test]
-    fn parallel_executor_matches_sequential_state() {
-        let mut state = 909090u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-        for _ in 0..15 {
-            let n = 2 + next() % 120;
-            let m = next() % (4 * n);
-            let edges: Vec<(u32, u32)> = (0..m).map(|_| (next() % n, next() % n)).collect();
-            let mut g = MemGraph::from_edges(edges, n);
-            let (seq, _) = semicore_star_state(&mut g, &DecomposeOptions::default()).unwrap();
-            for workers in [1, 2, 4] {
-                let (par, _) = semicore_star_state_with(
-                    &mut g,
-                    &DecomposeOptions::default(),
-                    ScanExecutor::parallel(workers),
-                )
-                .unwrap();
-                // Bit-identical state: same cores AND same cnt (both exact
-                // Eq. 2 at convergence).
-                assert_eq!(seq, par, "workers {workers}");
-                assert_eq!(par.check_cnt_invariant(&mut g).unwrap(), None);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_pass_structure_is_deterministic_per_worker_count() {
-        // The deterministic-merge guarantee: for a fixed worker count the
-        // whole run — cores, pass count, per-pass change series — is a pure
-        // function of the input, reproducible across repeats. (Different
-        // worker counts legitimately differ in pass structure: cross-shard
-        // edges propagate one pass later; cores still match everywhere.)
-        // The graph is large enough (thousands of victims per early pass)
-        // that the multi-shard fan-out path genuinely runs — the paper's
-        // 9-node example would fall under the executor's small-pass cutoff.
-        let mut state = 424242u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-        let n = 2000u32;
-        let edges: Vec<(u32, u32)> = (0..8000).map(|_| (next() % n, next() % n)).collect();
-        let mut g = MemGraph::from_edges(edges, n);
-        let opts = DecomposeOptions {
-            track_changed_per_iteration: true,
-        };
-        let seq = semicore_star(&mut g, &opts).unwrap();
-        for workers in [1usize, 2, 3, 4, 8] {
-            let a = semicore_star_with(&mut g, &opts, ScanExecutor::parallel(workers)).unwrap();
-            let b = semicore_star_with(&mut g, &opts, ScanExecutor::parallel(workers)).unwrap();
-            assert_eq!(a.core, seq.core, "workers {workers}");
-            assert_eq!(a.core, b.core);
-            assert_eq!(a.stats.iterations, b.stats.iterations);
-            assert_eq!(a.stats.node_computations, b.stats.node_computations);
-            assert_eq!(a.stats.changed_per_iteration, b.stats.changed_per_iteration);
-        }
     }
 }

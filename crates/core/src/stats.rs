@@ -83,6 +83,16 @@ pub struct DecomposeOptions {
     pub track_changed_per_iteration: bool,
 }
 
+/// The scan schedule of a decomposition. There is one: the paper's
+/// single-threaded pass that updates estimates in place. Service
+/// constructors still take this value so existing callers compile; they
+/// ignore it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanExecutor {
+    /// The paper's schedule (Algorithms 3–5).
+    Sequential,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -73,14 +73,9 @@ impl ScanWindow {
         }
     }
 
-    /// Schedule `u` for the *next* iteration unconditionally.
-    ///
-    /// The parallel scan executor's merge path: sharded passes have no
-    /// in-pass propagation (a pass computes from a frozen snapshot), so
-    /// every implicated node — forward or backward of the node that
-    /// implicated it — waits for the next pass.
+    /// Schedule `u` for the *next* iteration.
     #[inline]
-    pub fn schedule_next(&mut self, u: u32) {
+    fn schedule_next(&mut self, u: u32) {
         self.update = true;
         if u < self.next_min {
             self.next_min = u;
@@ -96,14 +91,6 @@ impl ScanWindow {
         self.vmin = self.next_min;
         self.vmax = self.next_max;
     }
-
-    /// Iterate the current window, tolerating in-flight `vmax` growth.
-    ///
-    /// Returns an iterator-like closure driver: calls `f(v)` for each `v`
-    /// from `vmin` while `v <= self.vmax` *at the time `v` is reached*.
-    pub fn current_range(&self) -> (u32, u32) {
-        (self.vmin, self.vmax)
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +100,7 @@ mod tests {
     #[test]
     fn full_window_covers_everything() {
         let w = ScanWindow::full(10);
-        assert_eq!(w.current_range(), (0, 9));
+        assert_eq!((w.vmin, w.vmax), (0, 9));
         assert!(w.update);
     }
 
@@ -138,7 +125,7 @@ mod tests {
         w.schedule(4, 7);
         assert!(w.update);
         w.end_iteration();
-        assert_eq!(w.current_range(), (1, 4));
+        assert_eq!((w.vmin, w.vmax), (1, 4));
     }
 
     #[test]
@@ -149,7 +136,7 @@ mod tests {
         w.schedule(2, 10); // backward
         assert_eq!(w.vmax, 50);
         w.end_iteration();
-        assert_eq!(w.current_range(), (2, 2));
+        assert_eq!((w.vmin, w.vmax), (2, 2));
         assert!(w.update);
     }
 
@@ -158,6 +145,6 @@ mod tests {
         let w = ScanWindow::full(0);
         // vmin (0) > vmax is impossible for u32 here: both are 0; callers
         // guard on num_nodes == 0 before scanning.
-        assert_eq!(w.current_range(), (0, 0));
+        assert_eq!((w.vmin, w.vmax), (0, 0));
     }
 }

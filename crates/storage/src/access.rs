@@ -153,77 +153,6 @@ impl AdjacencyRead for crate::memgraph::DynGraph {
     }
 }
 
-/// Read access that can be fanned out across worker threads.
-///
-/// A *shard handle* is an independent [`AdjacencyRead`] over the same graph:
-/// it owns its own O(1) scan state (so it can live on another thread) while
-/// sharing whatever global accounting the backend has — for
-/// [`DiskGraph`](crate::graph::DiskGraph) that is the `Arc`-atomic
-/// [`IoCounter`](crate::io::IoCounter) and the shared block-cache pool, for
-/// [`MemGraph`] it is nothing (handles are plain clones with zero I/O).
-///
-/// Returning `None` opts a backend out of sharding — the parallel scan
-/// executor then degrades to its sequential schedule. The mutable
-/// [`BufferedGraph`](crate::update_buffer::BufferedGraph) does so: its
-/// pending-update overlay is single-owner by design.
-pub trait ShardableRead: AdjacencyRead {
-    /// The handle type workers receive. `Send` so it can cross threads.
-    type Shard: AdjacencyRead + Send;
-
-    /// Open one worker handle, or `None` when this backend cannot shard.
-    ///
-    /// Errors surface real failures (e.g. the disk backend re-opening its
-    /// file pair), never "unsupported" — that is what `Ok(None)` is for.
-    fn shard_handle(&self) -> Result<Option<Self::Shard>>;
-}
-
-impl ShardableRead for crate::graph::DiskGraph {
-    type Shard = crate::graph::DiskGraph;
-
-    fn shard_handle(&self) -> Result<Option<Self::Shard>> {
-        self.try_clone().map(Some)
-    }
-}
-
-impl ShardableRead for MemGraph {
-    type Shard = MemGraph;
-
-    fn shard_handle(&self) -> Result<Option<Self::Shard>> {
-        Ok(Some(self.clone()))
-    }
-}
-
-impl ShardableRead for crate::memgraph::DynGraph {
-    type Shard = MemGraph;
-
-    // A dynamic adjacency graph would have to deep-copy its Vec<Vec<u32>>
-    // once per worker — O(n + m) each. It is the mutable maintenance
-    // oracle, not a decomposition workhorse, so it opts out and the
-    // executor runs its sequential schedule instead.
-    fn shard_handle(&self) -> Result<Option<Self::Shard>> {
-        Ok(None)
-    }
-}
-
-impl ShardableRead for crate::update_buffer::BufferedGraph {
-    // Placeholder type: a buffered graph never yields shard handles (its
-    // in-memory edit overlay is single-owner), so the executor runs its
-    // sequential schedule.
-    type Shard = MemGraph;
-
-    fn shard_handle(&self) -> Result<Option<Self::Shard>> {
-        Ok(None)
-    }
-}
-
-impl<G: ShardableRead> ShardableRead for &mut G {
-    type Shard = G::Shard;
-
-    fn shard_handle(&self) -> Result<Option<Self::Shard>> {
-        (**self).shard_handle()
-    }
-}
-
 /// A graph supporting edge insertion and deletion on top of read access.
 ///
 /// Contract: `insert_edge` requires the edge to be absent; `delete_edge`

@@ -44,13 +44,13 @@
 //! ## Concurrency
 //!
 //! The pool is wrapped in `Arc<Mutex<..>>` by its users and is shared by
-//! every reader of one graph — including the per-worker shard handles the
-//! parallel scan executor opens (see
-//! [`DiskGraph::try_clone`](crate::DiskGraph::try_clone)). Frame contents
-//! are handed out as [`Arc`] clones, so the pool lock protects only the
-//! lookup/eviction bookkeeping: decoding and visiting a block's bytes
-//! happens entirely *outside* the lock, which is what lets concurrent
-//! workers make progress on cache hits. An evicted frame's bytes stay alive
+//! every reader of one graph (including
+//! [`DiskGraph::try_clone`](crate::DiskGraph::try_clone) handles) and, for a
+//! [`SharedPool`](crate::pool::SharedPool), by every graph it serves. Frame
+//! contents are handed out as [`Arc`] clones, so the pool lock protects
+//! only the lookup/eviction bookkeeping: decoding and visiting a block's
+//! bytes happens entirely *outside* the lock, which is what lets concurrent
+//! readers make progress on cache hits. An evicted frame's bytes stay alive
 //! until the last in-flight reader drops its handle (resident memory can
 //! transiently exceed the budget by one block per concurrent reader).
 //!
@@ -58,7 +58,7 @@
 //! concurrent *cold* fetches — a faithful model of the single disk
 //! underneath, and the reason the charged miss count stays deterministic:
 //! each distinct block misses exactly once per residency, no matter how
-//! many workers race for it.
+//! many readers race for it.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

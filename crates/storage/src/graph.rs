@@ -276,14 +276,13 @@ impl DiskGraph {
     /// Open an additional read handle over the same file pair, sharing this
     /// handle's [`IoCounter`] and (when attached) block-cache pool.
     ///
-    /// This is what the parallel scan executor hands each worker thread:
-    /// every handle owns its own O(1) reader state (read-ahead window,
-    /// decode scratch) so scans proceed concurrently, while charged I/O
-    /// accumulates in the one shared counter and fetched blocks land in the
-    /// one shared pool — a block fetched by any worker is a free hit for
-    /// all of them. Unlike [`DiskGraph::open`], cloning does **not** reset
-    /// the counter or the cache statistics: the clone joins the measurement
-    /// in progress.
+    /// Every handle owns its own O(1) reader state (read-ahead window,
+    /// decode scratch), so handles can read on different threads, while
+    /// charged I/O accumulates in the one shared counter and fetched blocks
+    /// land in the one shared pool — a block fetched through any handle is
+    /// a free hit for all of them. Unlike [`DiskGraph::open`], cloning
+    /// does **not** reset the counter or the cache statistics: the clone
+    /// joins the measurement in progress.
     pub fn try_clone(&self) -> Result<DiskGraph> {
         let (node_reader, edge_reader) =
             Self::open_readers(&self.paths, &self.counter, &self.binding)?;
@@ -450,9 +449,8 @@ impl DiskGraph {
     /// (and the platform is little-endian, matching the on-disk encoding)
     /// the slice is decoded **in place from the frame** — no bytes are
     /// copied at all. The frame handle is taken with the pool lock released
-    /// before `f` runs, so parallel shard scans (see
-    /// [`DiskGraph::try_clone`]) never serialize on each other's visit
-    /// closures. Otherwise — and always for v2/v3 graphs, whose encoded
+    /// before `f` runs, so concurrent readers of the pool never serialize
+    /// on each other's visit closures. Otherwise — and always for v2/v3 graphs, whose encoded
     /// runs have no in-place representation — the run is decoded into an
     /// internal per-handle scratch buffer that is reused across calls, so
     /// no hot loop allocates. Charged identically to
@@ -529,18 +527,6 @@ impl DiskGraph {
     pub fn invalidate_buffers(&mut self) {
         self.node_reader.invalidate();
         self.edge_reader.invalidate();
-    }
-
-    /// Enable (or disable) background readahead pipelining on both table
-    /// readers: while a sequential scan decodes the current read-ahead
-    /// window, a worker thread fetches the next one (see
-    /// [`BlockReader::set_readahead`](crate::io::BlockReader::set_readahead)).
-    /// Physical pipelining only — every charged counter is bit-identical
-    /// with readahead on or off, which the format-v3 differential suite
-    /// asserts. Off by default; clones do not inherit it.
-    pub fn set_readahead(&mut self, enabled: bool) -> Result<()> {
-        self.node_reader.set_readahead(enabled)?;
-        self.edge_reader.set_readahead(enabled)
     }
 
     /// Re-open the file pair in place (after a rewrite replaced the files).

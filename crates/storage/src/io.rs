@@ -35,9 +35,9 @@
 //! issues (see [`crate::vfs`]).
 
 use std::fs::File;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use crate::cache::BlockCache;
 use crate::error::{Error, Result};
@@ -52,9 +52,8 @@ const READAHEAD_BLOCKS: usize = 64;
 
 /// Shared mutable I/O counters. Cloning the handle shares the counters.
 ///
-/// Counters are atomic (relaxed) so graph handles are `Send` and future
-/// parallel scans can charge one shared counter without changing any
-/// charged count.
+/// Counters are atomic (relaxed) so graph handles are `Send` and readers on
+/// different threads can charge one shared counter.
 #[derive(Debug)]
 pub struct IoCounter {
     block_size: usize,
@@ -287,7 +286,7 @@ pub struct BlockReader {
     /// The last frame fetched from the pool (cached mode): streak requests
     /// into the same block are served from this handle without taking the
     /// pool lock — the cached-mode analogue of the uncached reader's
-    /// current-block freebie, and what keeps concurrent shard scans off the
+    /// current-block freebie, and what keeps concurrent readers off the
     /// lock between block transitions. Charges nothing (the block was
     /// already paid for when fetched); safe because graph files are
     /// immutable while open ([`BlockReader::invalidate`] clears it).
@@ -295,11 +294,6 @@ pub struct BlockReader {
     /// Reusable chunk buffer for the encoded-run readers' uncached path,
     /// so v2/v3 decodes allocate nothing per call.
     gap_scratch: Vec<u8>,
-    /// Where this reader's file lives, when it was opened by path — what
-    /// [`BlockReader::set_readahead`] needs to open its second handle.
-    path: Option<PathBuf>,
-    /// Background window prefetcher, when readahead is enabled.
-    prefetch: Option<Prefetcher>,
 }
 
 impl BlockReader {
@@ -314,9 +308,7 @@ impl BlockReader {
     /// and charge I/O to `counter`.
     pub fn open(path: &Path, counter: Arc<IoCounter>) -> Result<Self> {
         let file = counter.vfs().open_read(path)?;
-        let mut reader = Self::from_vfs_file(file, counter)?;
-        reader.path = Some(path.to_path_buf());
-        Ok(reader)
+        Self::from_vfs_file(file, counter)
     }
 
     fn from_vfs_file(mut file: Box<dyn VfsFile>, counter: Arc<IoCounter>) -> Result<Self> {
@@ -333,8 +325,6 @@ impl BlockReader {
             charge: None,
             memo: None,
             gap_scratch: Vec::new(),
-            path: None,
-            prefetch: None,
         })
     }
 
@@ -400,45 +390,6 @@ impl BlockReader {
     /// True when this reader serves blocks from a shared cache pool.
     pub fn is_cached(&self) -> bool {
         self.cache.is_some()
-    }
-
-    /// Enable (or disable) background readahead pipelining: while the
-    /// consumer decodes the current read-ahead window, a worker thread
-    /// fetches the next window through a second handle on the same file.
-    ///
-    /// Readahead is *physical* pipelining only. Windows are measurement
-    /// apparatus (see the module docs): every charged counter — `read_ios`,
-    /// `physical_reads`, `read_bytes`, `seeks` — is computed at the
-    /// block-accounting layer, never at window refills, so the counters are
-    /// bit-identical with readahead on or off (the v3 differential suite
-    /// pins this). The second handle opens through the counter's [`Vfs`],
-    /// so fault injection still controls every byte; it is **off by
-    /// default** because a background reader would race FaultVfs's
-    /// deterministic operation schedules.
-    ///
-    /// Errors with [`Error::InvalidArgument`] on readers not opened by
-    /// path (the worker needs to open its own handle).
-    pub fn set_readahead(&mut self, enabled: bool) -> Result<()> {
-        if !enabled {
-            self.prefetch = None;
-            return Ok(());
-        }
-        if self.prefetch.is_some() {
-            return Ok(());
-        }
-        let Some(path) = self.path.as_ref() else {
-            return Err(Error::InvalidArgument(
-                "readahead requires a reader opened by path".into(),
-            ));
-        };
-        let file = self.counter.vfs().open_read(path)?;
-        self.prefetch = Some(Prefetcher::spawn(file)?);
-        Ok(())
-    }
-
-    /// True when background readahead is active.
-    pub fn readahead(&self) -> bool {
-        self.prefetch.is_some()
     }
 
     /// Length of the underlying file in bytes.
@@ -543,20 +494,10 @@ impl BlockReader {
         let window_start = &mut self.window_start;
         let file = self.file.as_mut();
         let file_len = self.file_len;
-        let prefetch = self.prefetch.as_ref();
         let (data, missed) = {
             let mut cache = lock_cache(pool);
             cache.get_or_load(*file_id, block, block_len, |buf| {
-                fill_from_window(
-                    window,
-                    window_start,
-                    file,
-                    file_len,
-                    b,
-                    block_start,
-                    buf,
-                    prefetch,
-                )
+                fill_from_window(window, window_start, file, file_len, b, block_start, buf)
             })?
         };
         match self.charge.as_ref() {
@@ -622,7 +563,7 @@ impl BlockReader {
     /// and return a shared handle to the frame plus the range's offset
     /// within it — the zero-copy fast path for adjacency runs. The bytes are
     /// decoded and visited by the caller *after* the pool lock is released,
-    /// so concurrent shard scans never serialize on each other's compute.
+    /// so concurrent readers never serialize on each other's compute.
     ///
     /// Returns `Ok(None)` when the fast path does not apply (uncached
     /// reader, empty range, or multi-block range); the caller must then
@@ -792,7 +733,6 @@ impl BlockReader {
             self.file_len,
             self.counter.block_size() as u64,
             pos,
-            self.prefetch.as_ref(),
         )
     }
 
@@ -848,131 +788,6 @@ impl RunDecoder for crate::codec::GroupDecoder {
     }
 }
 
-/// Single-slot handoff between a [`BlockReader`] and its readahead worker.
-struct PrefetchSlot {
-    state: Mutex<PrefetchState>,
-    ready: Condvar,
-}
-
-/// What the readahead worker is doing, keyed by window start offset.
-enum PrefetchState {
-    Idle,
-    InFlight(u64),
-    Ready(u64, Vec<u8>),
-}
-
-/// Opt-in background readahead (see [`BlockReader::set_readahead`]): a
-/// worker thread owning a second [`VfsFile`] handle fetches the *next*
-/// read-ahead window while the consumer decodes the current one. Windows
-/// are measurement apparatus — nothing here touches a counter — so charged
-/// I/O is bit-identical with or without a prefetcher attached. Any miss
-/// (wrong offset, worker error, worker death) silently degrades to the
-/// synchronous read path.
-struct Prefetcher {
-    /// `(window start, window len, recycled buffer)` — the consumer hands
-    /// its outgoing window back so the worker never allocates in steady
-    /// state.
-    tx: Option<std::sync::mpsc::Sender<(u64, usize, Vec<u8>)>>,
-    slot: Arc<PrefetchSlot>,
-    worker: Option<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for Prefetcher {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Prefetcher")
-    }
-}
-
-impl Prefetcher {
-    /// Start a worker thread reading windows from `file`.
-    fn spawn(mut file: Box<dyn VfsFile>) -> Result<Prefetcher> {
-        let slot = Arc::new(PrefetchSlot {
-            state: Mutex::new(PrefetchState::Idle),
-            ready: Condvar::new(),
-        });
-        let (tx, rx) = std::sync::mpsc::channel::<(u64, usize, Vec<u8>)>();
-        let worker_slot = Arc::clone(&slot);
-        let worker = std::thread::Builder::new()
-            .name("kcore-readahead".into())
-            .spawn(move || {
-                while let Ok((start, len, mut buf)) = rx.recv() {
-                    buf.resize(len, 0);
-                    let ok = file.read_exact_at(start, &mut buf).is_ok();
-                    let mut st = worker_slot.state.lock().unwrap_or_else(|p| p.into_inner());
-                    // Publish only while this is still the wanted window —
-                    // a newer request or a consumer give-up supersedes it.
-                    if matches!(*st, PrefetchState::InFlight(s) if s == start) {
-                        *st = if ok {
-                            PrefetchState::Ready(start, buf)
-                        } else {
-                            PrefetchState::Idle
-                        };
-                        worker_slot.ready.notify_all();
-                    }
-                }
-            })
-            .map_err(Error::Io)?;
-        Ok(Prefetcher {
-            tx: Some(tx),
-            slot,
-            worker: Some(worker),
-        })
-    }
-
-    /// Ask the worker to fetch `[start, start + len)` next. `recycle` is a
-    /// no-longer-needed buffer (typically the window just replaced) the
-    /// worker reads into instead of allocating.
-    fn request(&self, start: u64, len: usize, recycle: Vec<u8>) {
-        if len == 0 {
-            return;
-        }
-        let mut st = self.slot.state.lock().unwrap_or_else(|p| p.into_inner());
-        if matches!(*st, PrefetchState::InFlight(s) if s == start)
-            || matches!(&*st, PrefetchState::Ready(s, _) if *s == start)
-        {
-            return;
-        }
-        *st = PrefetchState::InFlight(start);
-        if let Some(tx) = self.tx.as_ref() {
-            if tx.send((start, len, recycle)).is_err() {
-                // Worker died; synchronous reads take over from here.
-                *st = PrefetchState::Idle;
-            }
-        }
-    }
-
-    /// Claim a previously requested window. Waits only while *this exact*
-    /// window is in flight; anything else returns `None` and the caller
-    /// reads synchronously (a stale in-flight fetch is discarded by the
-    /// publish check above).
-    fn take(&self, start: u64, len: usize) -> Option<Vec<u8>> {
-        let mut st = self.slot.state.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            match std::mem::replace(&mut *st, PrefetchState::Idle) {
-                PrefetchState::Ready(s, buf) if s == start && buf.len() == len => {
-                    return Some(buf);
-                }
-                PrefetchState::Ready(..) => return None,
-                PrefetchState::InFlight(s) if s == start => {
-                    *st = PrefetchState::InFlight(s);
-                    st = self.slot.ready.wait(st).unwrap_or_else(|p| p.into_inner());
-                }
-                PrefetchState::InFlight(_) | PrefetchState::Idle => return None,
-            }
-        }
-    }
-}
-
-impl Drop for Prefetcher {
-    fn drop(&mut self) {
-        // Closing the channel ends the worker's recv loop.
-        self.tx = None;
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
 /// Lock a shared cache, recovering from poisoning. A poisoned cache lock
 /// means some thread panicked mid-operation; `BlockCache` updates its maps
 /// before/after the load closure runs (never leaving half-linked state),
@@ -995,10 +810,7 @@ pub(crate) fn sync_parent_dir(vfs: &dyn Vfs, path: &std::path::Path) -> Result<(
 
 /// Refill `window` with a read-ahead span starting at the block containing
 /// `pos` (free function so cache-load closures can borrow reader fields
-/// disjointly). With a prefetcher attached, a window the worker already
-/// fetched is claimed without touching the file, and the *next* window's
-/// fetch is kicked off before returning — the pipelining overlap.
-#[allow(clippy::too_many_arguments)]
+/// disjointly).
 fn fill_window_at(
     window: &mut Vec<u8>,
     window_start: &mut u64,
@@ -1006,34 +818,18 @@ fn fill_window_at(
     file_len: u64,
     block_size: u64,
     pos: u64,
-    prefetch: Option<&Prefetcher>,
 ) -> Result<()> {
     let start = (pos / block_size) * block_size;
-    let want = (block_size as usize) * READAHEAD_BLOCKS;
-    let avail = (file_len - start) as usize;
-    let len = want.min(avail);
-    let mut recycle = Vec::new();
-    match prefetch.and_then(|p| p.take(start, len)) {
-        Some(buf) => recycle = std::mem::replace(window, buf),
-        None => {
-            window.resize(len, 0);
-            file.read_exact_at(start, window)?;
-        }
-    }
+    let len = ((block_size as usize) * READAHEAD_BLOCKS).min((file_len - start) as usize);
+    window.resize(len, 0);
+    file.read_exact_at(start, window)?;
     *window_start = start;
-    if let Some(p) = prefetch {
-        let next = start + len as u64;
-        if next < file_len {
-            p.request(next, want.min((file_len - next) as usize), recycle);
-        }
-    }
     Ok(())
 }
 
 /// Copy the block at `block_start` into `buf`, serving from (and refilling)
 /// the read-ahead window so cold sequential misses cost one large physical
 /// read per `READAHEAD_BLOCKS`, not one syscall per block.
-#[allow(clippy::too_many_arguments)]
 fn fill_from_window(
     window: &mut Vec<u8>,
     window_start: &mut u64,
@@ -1042,7 +838,6 @@ fn fill_from_window(
     block_size: u64,
     block_start: u64,
     buf: &mut [u8],
-    prefetch: Option<&Prefetcher>,
 ) -> Result<()> {
     let end = block_start + buf.len() as u64;
     if block_start < *window_start || end > *window_start + window.len() as u64 {
@@ -1053,7 +848,6 @@ fn fill_from_window(
             file_len,
             block_size,
             block_start,
-            prefetch,
         )?;
     }
     let from = (block_start - *window_start) as usize;
@@ -1272,48 +1066,5 @@ mod tests {
         assert_eq!(d.read_bytes, 60);
         assert_eq!(d.seeks, 2);
         assert_eq!(d.total_ios(), 5);
-    }
-
-    #[test]
-    fn readahead_is_byte_identical_and_charge_invisible() {
-        // ~600 KB spans several read-ahead windows, so the prefetch worker
-        // actually pipelines handoffs rather than serving one window.
-        let (_dir, path) = temp_file_with(600_000);
-        let (c_sync, c_ra) = (IoCounter::new(512), IoCounter::new(512));
-        let mut sync = BlockReader::open(&path, c_sync.clone()).unwrap();
-        let mut ra = BlockReader::open(&path, c_ra.clone()).unwrap();
-        assert!(!ra.readahead());
-        ra.set_readahead(true).unwrap();
-        assert!(ra.readahead());
-        // Enabling twice is a no-op; so is disabling and re-enabling.
-        ra.set_readahead(true).unwrap();
-
-        let (mut a, mut b) = (vec![0u8; 700], vec![0u8; 700]);
-        let mut off = 0u64;
-        while off < 600_000 {
-            let take = 700.min(600_000 - off as usize);
-            sync.read_exact_at(off, &mut a[..take]).unwrap();
-            ra.read_exact_at(off, &mut b[..take]).unwrap();
-            assert_eq!(a[..take], b[..take], "divergence at offset {off}");
-            off += take as u64;
-        }
-        // Every charged counter — including physical reads and seeks — is
-        // identical: the pipeline moves fetches, it never changes pricing.
-        assert_eq!(c_sync.snapshot(), c_ra.snapshot());
-
-        ra.set_readahead(false).unwrap();
-        assert!(!ra.readahead());
-        ra.read_exact_at(0, &mut a[..16]).unwrap();
-    }
-
-    #[test]
-    fn readahead_needs_a_path_opened_reader() {
-        let (_dir, path) = temp_file_with(1000);
-        let counter = IoCounter::new(512);
-        let mut r = BlockReader::new(File::open(&path).unwrap(), counter).unwrap();
-        let err = r.set_readahead(true).unwrap_err();
-        assert!(err.to_string().contains("readahead"), "{err}");
-        // Disabling an absent prefetcher is still fine.
-        r.set_readahead(false).unwrap();
     }
 }

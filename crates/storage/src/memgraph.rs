@@ -43,9 +43,7 @@ fn normalize_edges(edges: &mut Vec<(u32, u32)>, min_nodes: u32) -> u32 {
 /// Immutable compressed-sparse-row undirected graph.
 ///
 /// The CSR arrays are `Arc`-shared: `Clone` is O(1) and clones alias the
-/// same adjacency data, which is what makes
-/// [`ShardableRead`](crate::access::ShardableRead) handles for in-memory
-/// graphs free no matter the worker count.
+/// same adjacency data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemGraph {
     /// `offsets[v]..offsets[v+1]` indexes `nbrs` for node `v`. Length `n + 1`.

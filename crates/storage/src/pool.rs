@@ -36,11 +36,10 @@
 //!
 //! Charged I/O is then a pure function of (graph, access stream, per-graph
 //! budget): bit-identical whether the graph is served alone or alongside
-//! `K` contending graphs, while physical reads move with contention. The
-//! same caveat as the parallel executor applies to multi-threaded scans: a
+//! `K` contending graphs, while physical reads move with contention. A
 //! charge budget that absorbs the scan's re-read working set makes charged
-//! misses equal *distinct blocks touched* (schedule-independent); tighter
-//! charge budgets remain honest but order-dependent.
+//! misses equal *distinct blocks touched* (independent of access order);
+//! tighter charge budgets remain honest but order-dependent.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -60,8 +59,8 @@ const CHARGE_HEADROOM_BLOCKS: u64 = 4;
 /// `<base>.nodes/.edges`: its whole on-disk working set — both table files
 /// plus a few blocks of rounding headroom. With this budget, charged
 /// `read_ios` equals *distinct blocks touched*, a schedule-independent
-/// quantity, so the solo-vs-shared and sequential-vs-parallel equivalence
-/// guarantees hold at any worker count. The single source of truth for the
+/// quantity, so the solo-vs-shared equivalence guarantee holds however the
+/// pool is contended. The single source of truth for the
 /// formula — the serving layer, the benches and the test suites all price
 /// against this.
 pub fn working_set_charge_budget(base: &Path, block_size: usize) -> Result<u64> {

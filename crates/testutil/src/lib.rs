@@ -16,9 +16,6 @@
 //! * [`oracle_cores`] — recompute-from-scratch core numbers (the IMCore
 //!   oracle);
 //! * [`fixtures`] — the ER/BA/RMAT generator-family trio at test size;
-//! * [`disk_full_budget`] — write a graph to disk and open it with a
-//!   whole-working-set cache budget (the regime where charged I/O is
-//!   schedule-independent);
 //! * [`arb_graph`] / [`arb_toggle_stream`] — the proptest strategies shared
 //!   by the cross-validation and maintenance property suites.
 //! * [`SyncGateVfs`] — a real-filesystem [`Vfs`] whose fsyncs on one kind
@@ -32,9 +29,7 @@ use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use graphstore::{
-    mem_to_disk, DiskGraph, IoCounter, MemGraph, StdVfs, TempDir, Vfs, VfsFile, DEFAULT_BLOCK_SIZE,
-};
+use graphstore::{MemGraph, StdVfs, Vfs, VfsFile, DEFAULT_BLOCK_SIZE};
 use proptest::prelude::*;
 
 /// The suite's standard deterministic generator (a 64-bit LCG with the
@@ -83,22 +78,6 @@ pub fn random_mem_graph(rng: &mut Lcg, min_nodes: u32, node_span: u32, density: 
     MemGraph::from_edges(random_edges(rng, n, m), n)
 }
 
-/// Worker counts the executor-equivalence suites sweep: 1/2/4 always, plus
-/// whatever `SEMICORE_WORKERS` asks for — the CI knob that re-runs a suite
-/// at another width (see `.github/workflows/ci.yml`).
-pub fn worker_counts() -> Vec<usize> {
-    let mut counts = vec![1usize, 2, 4];
-    if let Some(w) = std::env::var("SEMICORE_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        if w >= 1 && !counts.contains(&w) {
-            counts.push(w);
-        }
-    }
-    counts
-}
-
 /// Core numbers recomputed from scratch by the in-memory oracle (IMCore) —
 /// the ground truth every incremental or external result is checked
 /// against.
@@ -118,25 +97,6 @@ pub fn fixtures() -> Vec<(&'static str, MemGraph)> {
         rmat_params.num_nodes(),
     );
     vec![("ER", er), ("BA", ba), ("RMAT", rmat)]
-}
-
-/// Write `g` to disk under `dir/tag` and open it with a cache budget
-/// covering the whole graph — the regime in which charged I/O equals
-/// *distinct blocks touched* and is therefore schedule-independent (what
-/// the sequential-vs-parallel equivalence suites rely on).
-///
-/// Headroom of a few frames over the byte total: each table rounds up to
-/// whole blocks, and a pool one frame short of the working set would evict
-/// — making charged misses schedule-dependent again.
-pub fn disk_full_budget(g: &MemGraph, dir: &TempDir, tag: &str) -> DiskGraph {
-    let base = dir.path().join(tag);
-    drop(mem_to_disk(&base, g, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap());
-    DiskGraph::open_with_cache(
-        &base,
-        IoCounter::new(DEFAULT_BLOCK_SIZE),
-        working_set_budget(&base),
-    )
-    .unwrap()
 }
 
 /// The working-set charge/cache budget of the graph stored at `base`, at
@@ -348,16 +308,5 @@ mod tests {
         for (name, g) in &fx {
             assert!(g.num_edges() > 0, "{name} must have edges");
         }
-    }
-
-    #[test]
-    fn disk_full_budget_round_trips() {
-        let g = MemGraph::from_edges([(0, 1), (1, 2), (0, 2)], 3);
-        let dir = TempDir::new("testutil").unwrap();
-        let mut disk = disk_full_budget(&g, &dir, "g");
-        let mut buf = Vec::new();
-        disk.adjacency(1, &mut buf).unwrap();
-        assert_eq!(buf, vec![0, 2]);
-        assert!(disk.cache_budget_bytes() > 0);
     }
 }

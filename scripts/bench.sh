@@ -16,7 +16,6 @@ prefix="${1:-BENCH}"
 # as their working directory.
 criterion_out="$(pwd)/${prefix}_criterion.json"
 cache_out="$(pwd)/${prefix}_cache.json"
-threads_out="$(pwd)/${prefix}_threads.json"
 multigraph_out="$(pwd)/${prefix}_multigraph.json"
 recovery_out="$(pwd)/${prefix}_recovery.json"
 compress_out="$(pwd)/${prefix}_compress.json"
@@ -51,10 +50,6 @@ echo "# bench run ${stamp} @ ${rev}" >> "${cache_out}"
 run_target ablation_cache \
     cargo run --release -q -p kcore-bench --bin ablation_cache -- --json "${cache_out}"
 
-echo "# bench run ${stamp} @ ${rev}" >> "${threads_out}"
-run_target ablation_threads \
-    cargo run --release -q -p kcore-bench --bin ablation_threads -- --json "${threads_out}"
-
 echo "# bench run ${stamp} @ ${rev}" >> "${multigraph_out}"
 run_target multi_graph \
     cargo run --release -q -p kcore-bench --bin multi_graph -- --json "${multigraph_out}"
@@ -87,10 +82,8 @@ run_target compaction \
     cargo run --release -q -p kcore-bench --bin compaction -- --json "${compact_out}"
 
 # Decode bandwidth: v2 varint vs v3 stream-vbyte in-memory decode rates and
-# the readahead-pipelined full scan. The binary is the v3 regression gate:
-# it exits non-zero if the dispatched v3 decoder falls below 2x the v2
-# scalar rate, if readahead changes any charged counter, or (with >= 2
-# cores) if the readahead scan is slower than the synchronous one.
+# a full v3 disk scan. The binary is the v3 regression gate: it exits
+# non-zero if the dispatched v3 decoder falls below 2x the v2 scalar rate.
 echo "# bench run ${stamp} @ ${rev}" >> "${decode_out}"
 run_target decode \
     cargo run --release -q -p kcore-bench --bin decode_bw -- --json "${decode_out}"
@@ -105,4 +98,4 @@ run_target scrub_overhead \
     cargo run --release -q -p kcore-bench --bin scrub_overhead -- --json "${scrub_out}"
 
 echo
-echo "results appended to ${criterion_out}, ${cache_out}, ${threads_out}, ${multigraph_out}, ${recovery_out}, ${compress_out}, ${serve_out}, ${compact_out}, ${decode_out} and ${scrub_out}"
+echo "results appended to ${criterion_out}, ${cache_out}, ${multigraph_out}, ${recovery_out}, ${compress_out}, ${serve_out}, ${compact_out}, ${decode_out} and ${scrub_out}"

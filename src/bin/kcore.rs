@@ -3,10 +3,10 @@
 //! ```text
 //! kcore build  <edges.txt> <graph-base>      ingest a text edge list to disk
 //! kcore decompose <graph-base> [--algo star|plus|basic|emcore]
-//!                 [--workers N] [--cache-mb M] [--out cores.txt]
+//!                 [--cache-mb M] [--out cores.txt]
 //! kcore query  <graph-base> --k 8            print the k-core's nodes/components
 //! kcore stats  <graph-base>                  core profile (onion levels, nucleus)
-//! kcore serve  [--budget-mb M] [--workers N] [--policy lru|scanlifo]
+//! kcore serve  [--budget-mb M] [--policy lru|scanlifo]
 //!              [--data-dir DIR] [--listen ADDR] [--max-conns N]
 //!              [--qos-mb M] [--qos-queue N] [--compact-after E]
 //!              [--scrub-interval S]
@@ -18,10 +18,7 @@
 //! ```
 //!
 //! All runs print the I/O and memory accounting the paper reports.
-//! `--workers N` (or the `SEMICORE_WORKERS` environment variable) shards the
-//! decomposition's convergence scans across `N` threads; `--cache-mb M`
-//! serves disk blocks through an `M`-MiB shared buffer pool (required for
-//! the parallel scans to pay sequential-equivalent I/O).
+//! `--cache-mb M` serves disk blocks through an `M`-MiB buffer pool.
 //!
 //! `kcore serve` starts a [`CoreService`]: every named graph is opened
 //! against one process-wide pool of `--budget-mb` MiB, then commands are
@@ -87,7 +84,7 @@ use kcore_suite::CoreService;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  kcore build <edges.txt> <graph-base> [--compress[=v2|v3]]\n  kcore decompose <graph-base> [--algo star|plus|basic|emcore] [--workers N] [--cache-mb M] [--out cores.txt]\n  kcore query <graph-base> --k <K>\n  kcore stats <graph-base>\n  kcore serve [--budget-mb M] [--workers N] [--policy lru|scanlifo] [--data-dir DIR]\n              [--listen ADDR] [--max-conns N] [--qos-mb M] [--qos-queue N]\n              [--compact-after E] [--scrub-interval S]\n              [--repair-retries R] [--op-timeout-ms T] [name=graph-base ...]\n  kcore fsck <data-dir> [--repair]\n  kcore compact <data-dir> <name>\n  kcore recompress <data-dir> [--to v1|v2|v3]"
+        "usage:\n  kcore build <edges.txt> <graph-base> [--compress[=v2|v3]]\n  kcore decompose <graph-base> [--algo star|plus|basic|emcore] [--cache-mb M] [--out cores.txt]\n  kcore query <graph-base> --k <K>\n  kcore stats <graph-base>\n  kcore serve [--budget-mb M] [--policy lru|scanlifo] [--data-dir DIR]\n              [--listen ADDR] [--max-conns N] [--qos-mb M] [--qos-queue N]\n              [--compact-after E] [--scrub-interval S]\n              [--repair-retries R] [--op-timeout-ms T] [name=graph-base ...]\n  kcore fsck <data-dir> [--repair]\n  kcore compact <data-dir> <name>\n  kcore recompress <data-dir> [--to v1|v2|v3]"
     );
     std::process::exit(2)
 }
@@ -130,31 +127,20 @@ fn open(base: &Path) -> graphstore::Result<DiskGraph> {
     DiskGraph::open(base, IoCounter::new(DEFAULT_BLOCK_SIZE))
 }
 
-// Internal decompositions (query/stats) run uncached, where the sequential
-// schedule is the right configuration regardless of SEMICORE_WORKERS — the
-// parallel path wants a cache budget so shard handles share fetched blocks.
-fn decompose(base: &Path, algo: &str) -> graphstore::Result<semicore::Decomposition> {
-    decompose_with(base, algo, ScanExecutor::Sequential, 0)
-}
-
-fn decompose_with(
+/// Decompose the graph at `base` with `algo`, serving blocks through a
+/// cache of `cache_bytes` (0: uncached).
+fn decompose(
     base: &Path,
     algo: &str,
-    exec: ScanExecutor,
     cache_bytes: u64,
 ) -> graphstore::Result<semicore::Decomposition> {
     let mut g = DiskGraph::open_with_cache(base, IoCounter::new(DEFAULT_BLOCK_SIZE), cache_bytes)?;
     let opts = DecomposeOptions::default();
     match algo {
-        "star" => semicore::semicore_star_with(&mut g, &opts, exec),
-        "plus" => semicore::semicore_plus_with(&mut g, &opts, exec),
-        "basic" => semicore::semicore_with(&mut g, &opts, exec),
-        "emcore" => {
-            if exec != ScanExecutor::Sequential {
-                eprintln!("note: --workers applies to the semi-external algorithms only; EMCore runs sequentially");
-            }
-            semicore::emcore(&mut g, &EmCoreOptions::default())
-        }
+        "star" => semicore::semicore_star(&mut g, &opts),
+        "plus" => semicore::semicore_plus(&mut g, &opts),
+        "basic" => semicore::semicore(&mut g, &opts),
+        "emcore" => semicore::emcore(&mut g, &EmCoreOptions::default()),
         other => {
             eprintln!("unknown algorithm {other:?} (expected star|plus|basic|emcore)");
             std::process::exit(2)
@@ -202,18 +188,8 @@ fn main() -> graphstore::Result<()> {
         "decompose" => {
             let Some(base) = args.get(1) else { usage() };
             let algo = arg_value(&args, "--algo").unwrap_or_else(|| "star".into());
-            let exec = match arg_value(&args, "--workers").map(|w| w.parse::<usize>()) {
-                Some(Ok(w)) if w >= 2 => ScanExecutor::parallel(w),
-                Some(Ok(_)) => ScanExecutor::Sequential,
-                Some(Err(_)) => usage(),
-                None => ScanExecutor::from_env(),
-            };
-            let cache_bytes = match arg_value(&args, "--cache-mb").map(|m| m.parse::<u64>()) {
-                Some(Ok(mb)) => mb << 20,
-                Some(Err(_)) => usage(),
-                None => 0,
-            };
-            let d = decompose_with(Path::new(base), &algo, exec, cache_bytes)?;
+            let cache_bytes = parsed_value::<u64>(&args, "--cache-mb").map_or(0, |mb| mb << 20);
+            let d = decompose(Path::new(base), &algo, cache_bytes)?;
             let s = &d.stats;
             println!(
                 "{}: kmax = {}, {} iterations, {} node computations",
@@ -243,7 +219,7 @@ fn main() -> graphstore::Result<()> {
             let k: u32 = arg_value(&args, "--k")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or_else(|| usage());
-            let d = decompose(Path::new(base), "star")?;
+            let d = decompose(Path::new(base), "star", 0)?;
             let mut g = open(Path::new(base))?;
             let comps = analysis::kcore_components(&mut g, &d.core, k)?;
             let total: usize = comps.iter().map(|c| c.len()).sum();
@@ -258,7 +234,7 @@ fn main() -> graphstore::Result<()> {
         }
         "stats" => {
             let Some(base) = args.get(1) else { usage() };
-            let d = decompose(Path::new(base), "star")?;
+            let d = decompose(Path::new(base), "star", 0)?;
             print!("{}", analysis::CoreProfile::new(&d.core));
             let mut g = open(Path::new(base))?;
             let (nucleus, density) = analysis::densest_core(&mut g, &d.core)?;
@@ -355,72 +331,155 @@ fn recompress_cmd(args: &[String]) -> graphstore::Result<()> {
     Ok(())
 }
 
+const BUDGET_MB: &str = "--budget-mb";
+const POLICY: &str = "--policy";
+const DATA_DIR: &str = "--data-dir";
+const LISTEN: &str = "--listen";
+const MAX_CONNS: &str = "--max-conns";
+const QOS_MB: &str = "--qos-mb";
+const QOS_QUEUE: &str = "--qos-queue";
+const COMPACT_AFTER: &str = "--compact-after";
+const SCRUB_INTERVAL: &str = "--scrub-interval";
+const REPAIR_RETRIES: &str = "--repair-retries";
+const OP_TIMEOUT_MS: &str = "--op-timeout-ms";
+
 /// The value-taking flags of `kcore serve` — the single list both the
 /// flag parsers and the positional-argument scan below work from.
-const SERVE_FLAGS: [&str; 12] = [
-    "--budget-mb",
-    "--workers",
-    "--policy",
-    "--data-dir",
-    "--listen",
-    "--max-conns",
-    "--qos-mb",
-    "--qos-queue",
-    "--compact-after",
-    "--scrub-interval",
-    "--repair-retries",
-    "--op-timeout-ms",
+const SERVE_FLAGS: [&str; 11] = [
+    BUDGET_MB,
+    POLICY,
+    DATA_DIR,
+    LISTEN,
+    MAX_CONNS,
+    QOS_MB,
+    QOS_QUEUE,
+    COMPACT_AFTER,
+    SCRUB_INTERVAL,
+    REPAIR_RETRIES,
+    OP_TIMEOUT_MS,
 ];
+
+/// The value of `key` parsed as `T`; a value that does not parse is a
+/// usage error.
+fn parsed_value<T: std::str::FromStr>(args: &[String], key: &str) -> Option<T> {
+    arg_value(args, key).map(|v| v.parse().unwrap_or_else(|_| usage()))
+}
+
+/// Everything `kcore serve` was asked for, parsed and checked before any
+/// service (or catalog file) is created.
+struct ServeArgs {
+    budget_mb: u64,
+    policy: EvictionPolicy,
+    data_dir: Option<PathBuf>,
+    listen: Option<String>,
+    max_connections: usize,
+    qos: Option<QosConfig>,
+    durable: kcore_suite::DurableOptions,
+    heal: kcore_suite::SelfHealOptions,
+    op_timeout: Option<Duration>,
+    /// Positional `name=graph-base` specs, opened before the REPL starts.
+    graphs: Vec<(String, String)>,
+}
+
+impl ServeArgs {
+    /// Parse `kcore serve`'s arguments; any usage error exits here.
+    fn parse(args: &[String]) -> ServeArgs {
+        // A trailing flag with its value forgotten would otherwise be
+        // indistinguishable from an absent flag and silently get the default.
+        if args
+            .last()
+            .is_some_and(|a| SERVE_FLAGS.contains(&a.as_str()))
+        {
+            usage()
+        }
+        let data_dir = arg_value(args, DATA_DIR).map(PathBuf::from);
+        let requires_data_dir = |flag: &str, why: &str| {
+            if data_dir.is_none() && arg_value(args, flag).is_some() {
+                eprintln!("{flag} requires {DATA_DIR} ({why})");
+                usage()
+            }
+        };
+        // `--compact-after E` bounds each durable graph's update buffer at
+        // `E` edit entries before the apply path compacts it.
+        requires_data_dir(COMPACT_AFTER, "only durable graphs compact");
+        // `--scrub-interval S` walks each healthy graph's durable artefacts
+        // through the fsck invariants every `S` seconds.
+        requires_data_dir(SCRUB_INTERVAL, "the scrubber walks durable artefacts");
+        // `--qos-mb M` turns on per-tenant admission control over the
+        // charge budget; `--qos-queue N` bounds how many requests may wait
+        // (default 16) and is meaningless without a budget to wait for.
+        let qos_queue: Option<usize> = parsed_value(args, QOS_QUEUE);
+        let qos = match (parsed_value::<u64>(args, QOS_MB), qos_queue) {
+            (Some(mb), queue) => Some(QosConfig {
+                capacity_bytes: mb << 20,
+                max_waiters: queue.unwrap_or(16),
+            }),
+            (None, Some(_)) => {
+                eprintln!("{QOS_QUEUE} requires {QOS_MB} (there is no queue without a budget)");
+                usage()
+            }
+            (None, None) => None,
+        };
+        // `--repair-retries R` bounds automatic online repairs per
+        // quarantine episode.
+        let heal_defaults = kcore_suite::SelfHealOptions::default();
+        let heal = kcore_suite::SelfHealOptions {
+            scrub_interval: parsed_value(args, SCRUB_INTERVAL).map(Duration::from_secs),
+            repair_retries: parsed_value(args, REPAIR_RETRIES)
+                .unwrap_or(heal_defaults.repair_retries),
+            ..heal_defaults
+        };
+        let durable = kcore_suite::DurableOptions {
+            compact_after_edits: parsed_value(args, COMPACT_AFTER)
+                .unwrap_or(kcore_suite::DEFAULT_COMPACT_AFTER_EDITS),
+            ..kcore_suite::DurableOptions::default()
+        };
+        let policy = match arg_value(args, POLICY).as_deref() {
+            Some("lru") => EvictionPolicy::Lru,
+            Some("scanlifo") | None => EvictionPolicy::ScanLifo,
+            Some(_) => usage(),
+        };
+        let mut graphs = Vec::new();
+        let mut i = 1usize;
+        while i < args.len() {
+            if SERVE_FLAGS.contains(&args[i].as_str()) {
+                i += 2; // skip the flag and its value
+            } else {
+                let Some((name, base)) = args[i].split_once('=') else {
+                    usage()
+                };
+                graphs.push((name.to_string(), base.to_string()));
+                i += 1;
+            }
+        }
+        ServeArgs {
+            budget_mb: parsed_value(args, BUDGET_MB).unwrap_or(64),
+            policy,
+            data_dir,
+            listen: arg_value(args, LISTEN),
+            max_connections: parsed_value(args, MAX_CONNS)
+                .unwrap_or(ServerOptions::default().max_connections),
+            qos,
+            durable,
+            heal,
+            op_timeout: parsed_value(args, OP_TIMEOUT_MS).map(Duration::from_millis),
+            graphs,
+        }
+    }
+}
 
 /// `kcore serve`: a [`CoreService`] REPL over stdin, optionally also
 /// served over TCP with `--listen`. Non-interactive use pipes a command
 /// script in; every response is a single line, errors are reported and do
 /// not end the session.
 fn serve(args: &[String]) -> graphstore::Result<()> {
-    // A trailing flag with its value forgotten would otherwise be
-    // indistinguishable from an absent flag and silently get the default.
-    if args
-        .last()
-        .is_some_and(|a| SERVE_FLAGS.contains(&a.as_str()))
-    {
-        usage()
-    }
-    let budget_mb: u64 = match arg_value(args, SERVE_FLAGS[0]).map(|v| v.parse()) {
-        Some(Ok(mb)) => mb,
-        Some(Err(_)) => usage(),
-        None => 64,
-    };
-    let exec = match arg_value(args, SERVE_FLAGS[1]).map(|w| w.parse::<usize>()) {
-        Some(Ok(w)) if w >= 2 => ScanExecutor::parallel(w),
-        Some(Ok(_)) => ScanExecutor::Sequential,
-        Some(Err(_)) => usage(),
-        None => ScanExecutor::from_env(),
-    };
-    let policy = match arg_value(args, SERVE_FLAGS[2]).as_deref() {
-        Some("lru") => EvictionPolicy::Lru,
-        Some("scanlifo") | None => EvictionPolicy::ScanLifo,
-        Some(_) => usage(),
-    };
-    // `--compact-after E` bounds each durable graph's update buffer at
-    // `E` edit entries before the apply path compacts it.
-    let compact_after = match arg_value(args, SERVE_FLAGS[8]).map(|v| v.parse::<usize>()) {
-        Some(Ok(entries)) => Some(entries),
-        Some(Err(_)) => usage(),
-        None => None,
-    };
-    if compact_after.is_some() && arg_value(args, SERVE_FLAGS[3]).is_none() {
-        eprintln!("--compact-after requires --data-dir (only durable graphs compact)");
-        usage()
-    }
-    let durable_opts = kcore_suite::DurableOptions {
-        compact_after_edits: compact_after.unwrap_or(kcore_suite::DEFAULT_COMPACT_AFTER_EDITS),
-        ..kcore_suite::DurableOptions::default()
-    };
-    let svc = match arg_value(args, SERVE_FLAGS[3]) {
+    let opts = ServeArgs::parse(args);
+    let (budget_mb, policy) = (opts.budget_mb, opts.policy);
+    let svc = match opts.data_dir.as_deref() {
         Some(dir) => {
-            let dir = Path::new(&dir);
             if graphstore::Catalog::exists_in(dir) {
-                let svc = CoreService::open_catalog_with(dir, exec, durable_opts)?;
+                let svc =
+                    CoreService::open_catalog_with(dir, ScanExecutor::Sequential, opts.durable)?;
                 println!(
                     "reopened catalog {} ({} MiB pool from manifest): restored [{}]",
                     dir.display(),
@@ -434,132 +493,71 @@ fn serve(args: &[String]) -> graphstore::Result<()> {
                     DEFAULT_BLOCK_SIZE,
                     budget_mb << 20,
                     policy,
-                    exec,
-                    durable_opts,
+                    ScanExecutor::Sequential,
+                    opts.durable,
                 )?;
                 println!(
-                    "serving durably from {} on a {budget_mb} MiB shared pool ({policy:?}, {exec:?})",
+                    "serving durably from {} on a {budget_mb} MiB shared pool ({policy:?})",
                     dir.display()
                 );
                 svc
             }
         }
         None => {
-            let svc = CoreService::with_config(DEFAULT_BLOCK_SIZE, budget_mb << 20, policy, exec)?;
+            let svc = CoreService::with_config(
+                DEFAULT_BLOCK_SIZE,
+                budget_mb << 20,
+                policy,
+                ScanExecutor::Sequential,
+            )?;
             println!(
-                "serving on a {budget_mb} MiB shared pool ({policy:?}, {exec:?}); 'help' lists commands"
+                "serving on a {budget_mb} MiB shared pool ({policy:?}); 'help' lists commands"
             );
             svc
         }
     };
     let svc = Arc::new(svc);
 
-    // `--qos-mb M` turns on per-tenant admission control over the charge
-    // budget; `--qos-queue N` bounds how many requests may wait (default
-    // 16) and is meaningless without a budget to wait for.
-    let qos_mb = match arg_value(args, SERVE_FLAGS[6]).map(|v| v.parse::<u64>()) {
-        Some(Ok(mb)) => Some(mb),
-        Some(Err(_)) => usage(),
-        None => None,
-    };
-    let qos_queue = match arg_value(args, SERVE_FLAGS[7]).map(|v| v.parse::<usize>()) {
-        Some(Ok(n)) => Some(n),
-        Some(Err(_)) => usage(),
-        None => None,
-    };
-    match (qos_mb, qos_queue) {
-        (Some(mb), queue) => {
-            svc.set_qos(Some(QosConfig {
-                capacity_bytes: mb << 20,
-                max_waiters: queue.unwrap_or(16),
-            }));
-            println!(
-                "qos: {} MiB admission budget, {} queued requests max",
-                mb,
-                queue.unwrap_or(16)
-            );
-        }
-        (None, Some(_)) => {
-            eprintln!("--qos-queue requires --qos-mb (there is no queue without a budget)");
-            usage()
-        }
-        (None, None) => {}
+    if let Some(qos) = opts.qos {
+        svc.set_qos(Some(qos));
+        println!(
+            "qos: {} MiB admission budget, {} queued requests max",
+            qos.capacity_bytes >> 20,
+            qos.max_waiters
+        );
     }
 
     // `--op-timeout-ms T` bounds every query's charged-read phase: an op
     // over its deadline comes back as one `err timeout:` line (and never
     // quarantines — a slow graph is not a broken graph).
-    match arg_value(args, SERVE_FLAGS[11]).map(|v| v.parse::<u64>()) {
-        Some(Ok(ms)) => {
-            svc.set_op_timeout(Some(Duration::from_millis(ms)));
-            println!("per-op deadline: {ms} ms");
-        }
-        Some(Err(_)) => usage(),
-        None => {}
+    if let Some(timeout) = opts.op_timeout {
+        svc.set_op_timeout(Some(timeout));
+        println!("per-op deadline: {} ms", timeout.as_millis());
     }
 
-    // Self-healing: `--scrub-interval S` walks each healthy graph's
-    // durable artefacts through the fsck invariants every `S` seconds;
-    // `--repair-retries R` bounds automatic online repairs per quarantine
-    // episode. The supervisor always runs under `serve` — quarantined
-    // graphs get repaired and read-only graphs re-probed even with the
-    // scrubber off.
-    let scrub_interval = match arg_value(args, SERVE_FLAGS[9]).map(|v| v.parse::<u64>()) {
-        Some(Ok(secs)) => Some(Duration::from_secs(secs)),
-        Some(Err(_)) => usage(),
-        None => None,
-    };
-    if scrub_interval.is_some() && arg_value(args, SERVE_FLAGS[3]).is_none() {
-        eprintln!("--scrub-interval requires --data-dir (the scrubber walks durable artefacts)");
-        usage()
-    }
-    let repair_retries = match arg_value(args, SERVE_FLAGS[10]).map(|v| v.parse::<u32>()) {
-        Some(Ok(n)) => Some(n),
-        Some(Err(_)) => usage(),
-        None => None,
-    };
-    let heal_opts = kcore_suite::SelfHealOptions {
-        scrub_interval,
-        repair_retries: repair_retries
-            .unwrap_or(kcore_suite::SelfHealOptions::default().repair_retries),
-        ..kcore_suite::SelfHealOptions::default()
-    };
-    let _self_heal = kcore_suite::start_self_heal(&svc, heal_opts);
+    // The supervisor always runs under `serve` — quarantined graphs get
+    // repaired and read-only graphs re-probed even with the scrubber off.
+    let _self_heal = kcore_suite::start_self_heal(&svc, opts.heal);
 
-    // Positional `name=base` specs pre-open graphs before the REPL starts.
-    let mut i = 1usize;
-    while i < args.len() {
-        if SERVE_FLAGS.contains(&args[i].as_str()) {
-            i += 2; // skip the flag and its value
-        } else {
-            let Some((name, base)) = args[i].split_once('=') else {
-                usage()
-            };
-            let resp = dispatch(&svc, &format!("open {name} {base}"));
-            for l in &resp.lines {
-                println!("{l}");
-            }
-            i += 1;
+    for (name, base) in &opts.graphs {
+        let resp = dispatch(&svc, &format!("open {name} {base}"));
+        for l in &resp.lines {
+            println!("{l}");
         }
     }
 
     // `--listen ADDR` serves the same protocol over TCP alongside stdin.
-    let mut server = match arg_value(args, SERVE_FLAGS[4]) {
+    let mut server = match opts.listen {
         Some(addr) => {
-            let max_connections = match arg_value(args, SERVE_FLAGS[5]).map(|v| v.parse()) {
-                Some(Ok(n)) => n,
-                Some(Err(_)) => usage(),
-                None => ServerOptions::default().max_connections,
-            };
-            let opts = ServerOptions {
-                max_connections,
+            let server_opts = ServerOptions {
+                max_connections: opts.max_connections,
                 ..ServerOptions::default()
             };
-            let server = Server::start(Arc::clone(&svc), &addr, opts)?;
+            let server = Server::start(Arc::clone(&svc), &addr, server_opts)?;
             println!(
                 "listening on {} ({} connections max)",
                 server.local_addr(),
-                max_connections
+                opts.max_connections
             );
             Some(server)
         }

@@ -73,8 +73,8 @@ use graphstore::{
     DEFAULT_BLOCK_SIZE, DEFAULT_BUFFER_CAPACITY,
 };
 use semicore::{
-    semicore_star_state, semicore_star_state_with, CoreState, DecomposeOptions, MaintainOp,
-    MaintainStats, MaintenanceEngine, RunStats, ScanExecutor,
+    semicore_star_state, CoreState, DecomposeOptions, MaintainOp, MaintainStats, MaintenanceEngine,
+    RunStats,
 };
 
 /// A disk-resident dynamic graph with continuously maintained core numbers.
@@ -136,33 +136,23 @@ impl CoreIndex {
         self.graph.disk().cache_stats()
     }
 
-    /// Open a graph against a process-wide [`SharedPool`] and decompose it
-    /// with the given executor: bytes come from the pool's shared budget,
+    /// Open a graph against a process-wide [`SharedPool`] and decompose it:
+    /// bytes come from the pool's shared budget,
     /// while charged `read_ios` follows a private charge cache of
     /// `charge_bytes` (the graph's own model budget `M`) so the charge is
     /// bit-identical however many other graphs contend for the pool. This
     /// is the constructor [`CoreService`] serves graphs through.
-    pub fn open_pooled(
-        base: &Path,
-        pool: &SharedPool,
-        charge_bytes: u64,
-        exec: ScanExecutor,
-    ) -> Result<CoreIndex> {
+    pub fn open_pooled(base: &Path, pool: &SharedPool, charge_bytes: u64) -> Result<CoreIndex> {
         let counter = IoCounter::new(pool.block_size());
         let disk = DiskGraph::open_pooled(base, counter, pool, charge_bytes)?;
-        Self::from_disk_graph(disk, DEFAULT_BUFFER_CAPACITY, exec)
+        Self::from_disk_graph(disk, DEFAULT_BUFFER_CAPACITY)
     }
 
-    /// Decompose `disk` with the given executor (the disk graph is still
-    /// shardable at this point, so parallel executors fan out), then wrap
-    /// it with an update buffer of `capacity` edit entries for maintenance.
-    pub fn from_disk_graph(
-        mut disk: DiskGraph,
-        capacity: usize,
-        exec: ScanExecutor,
-    ) -> Result<CoreIndex> {
+    /// Decompose `disk`, then wrap it with an update buffer of `capacity`
+    /// edit entries for maintenance.
+    pub fn from_disk_graph(mut disk: DiskGraph, capacity: usize) -> Result<CoreIndex> {
         let (state, decompose_stats) =
-            semicore_star_state_with(&mut disk, &DecomposeOptions::default(), exec)?;
+            semicore_star_state(&mut disk, &DecomposeOptions::default())?;
         let graph = BufferedGraph::new(disk, capacity);
         let n = graph.num_nodes();
         Ok(CoreIndex {

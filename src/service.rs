@@ -287,7 +287,6 @@ fn validate_durable_name(name: &str) -> Result<()> {
 #[derive(Debug)]
 pub struct CoreService {
     pool: SharedPool,
-    exec: ScanExecutor,
     graphs: Mutex<HashMap<String, Slot>>,
     durable: Option<Durable>,
     /// Filesystem seam every counter (and the catalog writer) goes
@@ -558,8 +557,8 @@ impl Drop for DeadlineGuard {
 
 impl CoreService {
     /// A service arbitrating `budget_bytes` across all served graphs, with
-    /// the default block size, the scan-resistant eviction policy and the
-    /// sequential executor. Errors when the budget holds fewer than two
+    /// the default block size and the scan-resistant eviction policy.
+    /// Errors when the budget holds fewer than two
     /// blocks. Nothing is persisted — see [`CoreService::create_durable`].
     pub fn new(budget_bytes: u64) -> Result<CoreService> {
         Self::with_config(
@@ -571,9 +570,9 @@ impl CoreService {
     }
 
     /// [`CoreService::new`] with every knob explicit: block size `B`,
-    /// global budget, pool eviction policy (also used by each graph's
-    /// charge cache), and the scan executor used for initial
-    /// decompositions.
+    /// global budget and pool eviction policy (also used by each graph's
+    /// charge cache). The [`ScanExecutor`] is ignored: every decomposition
+    /// runs the paper's sequential schedule.
     pub fn with_config(
         block_size: usize,
         budget_bytes: u64,
@@ -591,12 +590,11 @@ impl CoreService {
         block_size: usize,
         budget_bytes: u64,
         policy: EvictionPolicy,
-        exec: ScanExecutor,
+        _exec: ScanExecutor,
         vfs: Arc<dyn Vfs>,
     ) -> Result<CoreService> {
         Ok(CoreService {
             pool: SharedPool::with_policy(block_size, budget_bytes, policy)?,
-            exec,
             graphs: Mutex::new(HashMap::new()),
             durable: None,
             vfs,
@@ -606,8 +604,8 @@ impl CoreService {
     }
 
     /// A durable service persisting its registry under `dir` (created if
-    /// absent), with the default block size, policy, sequential executor
-    /// and checkpoint cadence. Errors if `dir` already holds a catalog —
+    /// absent), with the default block size, policy and checkpoint
+    /// cadence. Errors if `dir` already holds a catalog —
     /// reopen an existing one with [`CoreService::open_catalog`].
     pub fn create_durable(dir: &Path, budget_bytes: u64) -> Result<CoreService> {
         Self::create_durable_with(
@@ -622,8 +620,9 @@ impl CoreService {
 
     /// [`CoreService::create_durable`] with every knob explicit. The pool
     /// configuration (block size, budget, policy) is written into the
-    /// catalog and restored by [`CoreService::open_catalog`]; the executor
-    /// and checkpoint cadence are runtime choices and are not.
+    /// catalog and restored by [`CoreService::open_catalog`]; the checkpoint
+    /// cadence is a runtime choice and is not. The [`ScanExecutor`] is
+    /// ignored (see [`CoreService::with_config`]).
     pub fn create_durable_with(
         dir: &Path,
         block_size: usize,
@@ -650,7 +649,7 @@ impl CoreService {
         block_size: usize,
         budget_bytes: u64,
         policy: EvictionPolicy,
-        exec: ScanExecutor,
+        _exec: ScanExecutor,
         opts: DurableOptions,
         vfs: Arc<dyn Vfs>,
     ) -> Result<CoreService> {
@@ -663,7 +662,6 @@ impl CoreService {
         }
         let svc = CoreService {
             pool: SharedPool::with_policy(block_size, budget_bytes, policy)?,
-            exec,
             graphs: Mutex::new(HashMap::new()),
             durable: Some(Durable {
                 dir: dir.to_path_buf(),
@@ -683,15 +681,14 @@ impl CoreService {
     /// rebuild the pool it describes, and restore every catalogued graph —
     /// checkpoint first (one sequential scan, **no** re-decomposition),
     /// then the journal tail replayed through the same typed-op path live
-    /// traffic uses. Uses the sequential executor; see
-    /// [`CoreService::open_catalog_with`] for the knobs.
+    /// traffic uses. See [`CoreService::open_catalog_with`] for the
+    /// durability options.
     pub fn open_catalog(dir: &Path) -> Result<CoreService> {
         Self::open_catalog_with(dir, ScanExecutor::Sequential, DurableOptions::default())
     }
 
-    /// [`CoreService::open_catalog`] with an explicit executor (used for
-    /// decompositions of graphs opened *after* recovery) and durability
-    /// options.
+    /// [`CoreService::open_catalog`] with explicit durability options. The
+    /// [`ScanExecutor`] is ignored (see [`CoreService::with_config`]).
     pub fn open_catalog_with(
         dir: &Path,
         exec: ScanExecutor,
@@ -705,7 +702,7 @@ impl CoreService {
     /// checkpoint and journal reads — goes through `vfs` too.
     pub fn open_catalog_with_vfs(
         dir: &Path,
-        exec: ScanExecutor,
+        _exec: ScanExecutor,
         opts: DurableOptions,
         vfs: Arc<dyn Vfs>,
     ) -> Result<CoreService> {
@@ -716,7 +713,6 @@ impl CoreService {
                 catalog.budget_bytes,
                 catalog.policy,
             )?,
-            exec,
             graphs: Mutex::new(HashMap::new()),
             durable: Some(Durable {
                 dir: dir.to_path_buf(),
@@ -803,8 +799,8 @@ impl CoreService {
     /// Open the graph stored at `<base>.nodes/.edges` and serve it as
     /// `name`, decomposing it on the way in. The charge budget defaults to
     /// the graph's whole working set (both tables plus headroom), which
-    /// makes its charged `read_ios` equal *distinct blocks touched* —
-    /// schedule-independent, so the guarantee holds at any worker count.
+    /// makes its charged `read_ios` equal *distinct blocks touched*,
+    /// however the shared pool is contended.
     pub fn open(&self, name: &str, base: &Path) -> Result<()> {
         let charge = working_set_charge_budget(base, self.pool.block_size())?;
         self.open_with_charge(name, base, charge)
@@ -834,7 +830,7 @@ impl CoreService {
         } else {
             graphstore::DEFAULT_BUFFER_CAPACITY
         };
-        let index = CoreIndex::from_disk_graph(disk, capacity, self.exec)?;
+        let index = CoreIndex::from_disk_graph(disk, capacity)?;
 
         // Win the name *before* touching any on-disk sidecar: a losing
         // racer must never overwrite the winner's checkpoint or truncate a
@@ -1620,8 +1616,7 @@ impl CoreService {
             };
             let counter = IoCounter::with_vfs(self.pool.block_size(), Arc::clone(&self.vfs));
             let disk = DiskGraph::open_pooled(&base, counter, &self.pool, charge_bytes)?;
-            let index =
-                CoreIndex::from_disk_graph(disk, graphstore::DEFAULT_BUFFER_CAPACITY, self.exec)?;
+            let index = CoreIndex::from_disk_graph(disk, graphstore::DEFAULT_BUFFER_CAPACITY)?;
             Served {
                 index,
                 wal: None,

@@ -256,7 +256,7 @@ fn semicore_star_cache_budget_reduces_physical_reads() {
 }
 
 /// Graph handles are `Send` now that counters are atomics and the cache sits
-/// behind a `Mutex` — the prerequisite for parallel scans.
+/// behind a `Mutex` — what lets the service move graphs across threads.
 #[test]
 fn graph_handles_are_send() {
     fn assert_send<T: Send>() {}

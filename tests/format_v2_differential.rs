@@ -2,8 +2,8 @@
 //!
 //! The compressed edge table must be invisible to every algorithm: the same
 //! graph built in both formats yields **bit-identical** cores and Eq. 2
-//! counters — decomposition and maintenance alike, at any worker count,
-//! under either eviction policy, pooled or durable — while v2's charged
+//! counters — decomposition and maintenance alike, under either eviction
+//! policy, pooled or durable — while v2's charged
 //! `read_ios` is **strictly lower** at equal cache budget (fewer edge-table
 //! blocks exist to read).
 
@@ -12,11 +12,10 @@ use graphstore::{
     MemGraph, TempDir, DEFAULT_BLOCK_SIZE,
 };
 use kcore_suite::semicore::{
-    semicore_plus_with, semicore_star_state_with, semicore_star_with, semicore_with,
-    DecomposeOptions, ScanExecutor,
+    semicore, semicore_plus, semicore_star, semicore_star_state, DecomposeOptions,
 };
 use kcore_suite::{CoreIndex, CoreService};
-use testutil::{fixtures, oracle_cores, random_mem_graph, worker_counts, Lcg};
+use testutil::{fixtures, oracle_cores, random_mem_graph, Lcg};
 
 /// Write `g` in both formats under `dir`, returning the `(v1, v2)` bases.
 fn write_pair(dir: &TempDir, g: &MemGraph, tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
@@ -51,12 +50,12 @@ fn decomposition_bit_identical_and_v2_charges_strictly_less() {
     let opts = DecomposeOptions::default();
     type Algo = (
         &'static str,
-        fn(&mut DiskGraph, &DecomposeOptions, ScanExecutor) -> graphstore::Result<Vec<u32>>,
+        fn(&mut DiskGraph, &DecomposeOptions) -> graphstore::Result<Vec<u32>>,
     );
     let algos: Vec<Algo> = vec![
-        ("semicore", |g, o, e| Ok(semicore_with(g, o, e)?.core)),
-        ("semicore+", |g, o, e| Ok(semicore_plus_with(g, o, e)?.core)),
-        ("semicore*", |g, o, e| Ok(semicore_star_with(g, o, e)?.core)),
+        ("semicore", |g, o| Ok(semicore(g, o)?.core)),
+        ("semicore+", |g, o| Ok(semicore_plus(g, o)?.core)),
+        ("semicore*", |g, o| Ok(semicore_star(g, o)?.core)),
     ];
 
     for (family, g) in fixtures() {
@@ -69,38 +68,31 @@ fn decomposition_bit_identical_and_v2_charges_strictly_less() {
         ];
         for policy in [EvictionPolicy::Lru, EvictionPolicy::ScanLifo] {
             for &budget in &budgets {
-                for workers in worker_counts() {
-                    let exec = if workers == 1 {
-                        ScanExecutor::Sequential
-                    } else {
-                        ScanExecutor::parallel(workers)
-                    };
-                    for (name, run) in &algos {
-                        let tag = format!("{family}/{name}/{policy:?}/M={budget}/w{workers}");
-                        let mut d1 = DiskGraph::open_with_cache_policy(
-                            &b1,
-                            IoCounter::new(DEFAULT_BLOCK_SIZE),
-                            budget,
-                            policy,
-                        )
-                        .unwrap();
-                        let mut d2 = DiskGraph::open_with_cache_policy(
-                            &b2,
-                            IoCounter::new(DEFAULT_BLOCK_SIZE),
-                            budget,
-                            policy,
-                        )
-                        .unwrap();
-                        let c1 = run(&mut d1, &opts, exec).unwrap();
-                        let c2 = run(&mut d2, &opts, exec).unwrap();
-                        assert_eq!(c1, c2, "{tag}: cores must be bit-identical");
-                        assert_eq!(c1, oracle_cores(&g), "{tag}: oracle");
-                        let (r1, r2) = (d1.io().read_ios, d2.io().read_ios);
-                        assert!(
-                            r2 < r1,
-                            "{tag}: v2 must charge strictly fewer read I/Os ({r2} vs {r1})"
-                        );
-                    }
+                for (name, run) in &algos {
+                    let tag = format!("{family}/{name}/{policy:?}/M={budget}");
+                    let mut d1 = DiskGraph::open_with_cache_policy(
+                        &b1,
+                        IoCounter::new(DEFAULT_BLOCK_SIZE),
+                        budget,
+                        policy,
+                    )
+                    .unwrap();
+                    let mut d2 = DiskGraph::open_with_cache_policy(
+                        &b2,
+                        IoCounter::new(DEFAULT_BLOCK_SIZE),
+                        budget,
+                        policy,
+                    )
+                    .unwrap();
+                    let c1 = run(&mut d1, &opts).unwrap();
+                    let c2 = run(&mut d2, &opts).unwrap();
+                    assert_eq!(c1, c2, "{tag}: cores must be bit-identical");
+                    assert_eq!(c1, oracle_cores(&g), "{tag}: oracle");
+                    let (r1, r2) = (d1.io().read_ios, d2.io().read_ios);
+                    assert!(
+                        r2 < r1,
+                        "{tag}: v2 must charge strictly fewer read I/Os ({r2} vs {r1})"
+                    );
                 }
             }
         }
@@ -108,8 +100,8 @@ fn decomposition_bit_identical_and_v2_charges_strictly_less() {
         // The Eq. 2 counters the maintained state carries must match too.
         let mut d1 = DiskGraph::open(&b1, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
         let mut d2 = DiskGraph::open(&b2, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
-        let (s1, _) = semicore_star_state_with(&mut d1, &opts, ScanExecutor::Sequential).unwrap();
-        let (s2, _) = semicore_star_state_with(&mut d2, &opts, ScanExecutor::Sequential).unwrap();
+        let (s1, _) = semicore_star_state(&mut d1, &opts).unwrap();
+        let (s2, _) = semicore_star_state(&mut d2, &opts).unwrap();
         assert_eq!(s1.core, s2.core, "{family}: state cores");
         assert_eq!(s1.cnt, s2.cnt, "{family}: Eq. 2 counters");
     }

@@ -2,22 +2,18 @@
 //!
 //! The vectorised edge table must be invisible to every algorithm: the
 //! same graph built in v1, v2 and v3 yields **bit-identical** cores and
-//! Eq. 2 counters — decomposition and maintenance alike, at any worker
-//! count, under either eviction policy, durable kill/reopen included —
-//! while v3's charged `read_ios` stays strictly below v1 and tracks v2
-//! within the two tables' size ratio at equal cache budget. Block
-//! readahead gets the same treatment: identical decoded bytes and
-//! bit-identical charged counters whether the pipeline is on or off.
+//! Eq. 2 counters — decomposition and maintenance alike, under either
+//! eviction policy, durable kill/reopen included — while v3's charged
+//! `read_ios` stays strictly below v1 and tracks v2 within the two tables'
+//! size ratio at equal cache budget.
 
 use graphstore::{
     write_mem_graph_with, DiskGraph, EvictionPolicy, FormatVersion, GraphPaths, IoCounter,
     MemGraph, TempDir, DEFAULT_BLOCK_SIZE,
 };
-use kcore_suite::semicore::{
-    semicore_plus_with, semicore_star_with, semicore_with, DecomposeOptions, ScanExecutor,
-};
+use kcore_suite::semicore::{semicore, semicore_plus, semicore_star, DecomposeOptions};
 use kcore_suite::{CoreIndex, CoreService};
-use testutil::{fixtures, oracle_cores, random_mem_graph, worker_counts, Lcg};
+use testutil::{fixtures, oracle_cores, random_mem_graph, Lcg};
 
 /// Write `g` in all three formats under `dir`, returning the bases.
 fn write_triple(dir: &TempDir, g: &MemGraph, tag: &str) -> [std::path::PathBuf; 3] {
@@ -41,12 +37,12 @@ fn decomposition_bit_identical_and_v3_charging_tracks_the_table_size() {
     let opts = DecomposeOptions::default();
     type Algo = (
         &'static str,
-        fn(&mut DiskGraph, &DecomposeOptions, ScanExecutor) -> graphstore::Result<Vec<u32>>,
+        fn(&mut DiskGraph, &DecomposeOptions) -> graphstore::Result<Vec<u32>>,
     );
     let algos: Vec<Algo> = vec![
-        ("semicore", |g, o, e| Ok(semicore_with(g, o, e)?.core)),
-        ("semicore+", |g, o, e| Ok(semicore_plus_with(g, o, e)?.core)),
-        ("semicore*", |g, o, e| Ok(semicore_star_with(g, o, e)?.core)),
+        ("semicore", |g, o| Ok(semicore(g, o)?.core)),
+        ("semicore+", |g, o| Ok(semicore_plus(g, o)?.core)),
+        ("semicore*", |g, o| Ok(semicore_star(g, o)?.core)),
     ];
 
     for (family, g) in fixtures() {
@@ -63,45 +59,38 @@ fn decomposition_bit_identical_and_v3_charging_tracks_the_table_size() {
         ];
         for policy in [EvictionPolicy::Lru, EvictionPolicy::ScanLifo] {
             for &budget in &budgets {
-                for workers in worker_counts() {
-                    let exec = if workers == 1 {
-                        ScanExecutor::Sequential
-                    } else {
-                        ScanExecutor::parallel(workers)
-                    };
-                    for (name, run) in &algos {
-                        let tag = format!("{family}/{name}/{policy:?}/M={budget}/w{workers}");
-                        let mut opened = bases.clone().map(|b| {
-                            DiskGraph::open_with_cache_policy(
-                                &b,
-                                IoCounter::new(DEFAULT_BLOCK_SIZE),
-                                budget,
-                                policy,
-                            )
-                            .unwrap()
-                        });
-                        let cores = opened.each_mut().map(|d| run(d, &opts, exec).unwrap());
-                        assert_eq!(cores[0], cores[1], "{tag}: v2 cores");
-                        assert_eq!(cores[0], cores[2], "{tag}: v3 cores");
-                        assert_eq!(cores[0], oracle_cores(&g), "{tag}: oracle");
-                        let [r1, r2, r3] = opened.map(|d| d.io().read_ios);
-                        assert!(
-                            r3 < r1,
-                            "{tag}: v3 must charge strictly fewer read I/Os than v1 ({r3} vs {r1})"
-                        );
-                        // v3 tables run up to ~15% larger than v2 on these
-                        // fixtures, and under the 10%-of-table budget the LRU
-                        // thrash amplifies that size delta nonlinearly (worst
-                        // surveyed: ER/semicore at tight budget, 29 → 48
-                        // charged reads, ~1.45x beyond linear pro-rating). The
-                        // 1.75x factor keeps headroom over that while still
-                        // tripping on a real charging regression.
-                        let bound = (r2 as f64 * ratio * 1.75).ceil() as u64 + 2;
-                        assert!(
-                            r3 <= bound,
-                            "{tag}: v3 charged {r3} > {bound} (v2 {r2} x size ratio {ratio:.3})"
-                        );
-                    }
+                for (name, run) in &algos {
+                    let tag = format!("{family}/{name}/{policy:?}/M={budget}");
+                    let mut opened = bases.clone().map(|b| {
+                        DiskGraph::open_with_cache_policy(
+                            &b,
+                            IoCounter::new(DEFAULT_BLOCK_SIZE),
+                            budget,
+                            policy,
+                        )
+                        .unwrap()
+                    });
+                    let cores = opened.each_mut().map(|d| run(d, &opts).unwrap());
+                    assert_eq!(cores[0], cores[1], "{tag}: v2 cores");
+                    assert_eq!(cores[0], cores[2], "{tag}: v3 cores");
+                    assert_eq!(cores[0], oracle_cores(&g), "{tag}: oracle");
+                    let [r1, r2, r3] = opened.map(|d| d.io().read_ios);
+                    assert!(
+                        r3 < r1,
+                        "{tag}: v3 must charge strictly fewer read I/Os than v1 ({r3} vs {r1})"
+                    );
+                    // v3 tables run up to ~15% larger than v2 on these
+                    // fixtures, and under the 10%-of-table budget the LRU
+                    // thrash amplifies that size delta nonlinearly (worst
+                    // surveyed: ER/semicore at tight budget, 29 → 48
+                    // charged reads, ~1.45x beyond linear pro-rating). The
+                    // 1.75x factor keeps headroom over that while still
+                    // tripping on a real charging regression.
+                    let bound = (r2 as f64 * ratio * 1.75).ceil() as u64 + 2;
+                    assert!(
+                        r3 <= bound,
+                        "{tag}: v3 charged {r3} > {bound} (v2 {r2} x size ratio {ratio:.3})"
+                    );
                 }
             }
         }
@@ -161,59 +150,6 @@ fn maintenance_stream_bit_identical_v1_vs_v3() {
             "round {round}: final oracle"
         );
         assert!(i1.verify().unwrap() && i3.verify().unwrap());
-    }
-}
-
-#[test]
-fn readahead_changes_no_result_and_no_charged_counter() {
-    let dir = TempDir::new("fmt3diff-ra").unwrap();
-    for (family, g) in fixtures() {
-        let base = dir.path().join(format!("ra-{family}"));
-        write_mem_graph_with(
-            &base,
-            &g,
-            IoCounter::new(DEFAULT_BLOCK_SIZE),
-            FormatVersion::V3,
-        )
-        .unwrap();
-
-        // Full adjacency sweep, pipelined vs synchronous.
-        let sweep = |readahead: bool| {
-            let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
-            let mut dg = DiskGraph::open(&base, counter.clone()).unwrap();
-            dg.set_readahead(readahead).unwrap();
-            let mut all = Vec::new();
-            let mut buf = Vec::new();
-            for v in 0..dg.num_nodes() {
-                dg.adjacency(v, &mut buf).unwrap();
-                all.extend_from_slice(&buf);
-            }
-            (all, counter.snapshot())
-        };
-        let (ids_off, io_off) = sweep(false);
-        let (ids_on, io_on) = sweep(true);
-        assert_eq!(ids_off, ids_on, "{family}: decoded ids diverged");
-        assert_eq!(io_off, io_on, "{family}: charged counters diverged");
-
-        // A whole decomposition must agree too — cores and every counter.
-        let run = |readahead: bool| {
-            let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
-            let mut dg = DiskGraph::open(&base, counter.clone()).unwrap();
-            dg.set_readahead(readahead).unwrap();
-            let cores = semicore_star_with(
-                &mut dg,
-                &DecomposeOptions::default(),
-                ScanExecutor::Sequential,
-            )
-            .unwrap()
-            .core;
-            (cores, counter.snapshot())
-        };
-        let (c_off, s_off) = run(false);
-        let (c_on, s_on) = run(true);
-        assert_eq!(c_off, c_on, "{family}: cores diverged under readahead");
-        assert_eq!(c_on, oracle_cores(&g), "{family}: oracle");
-        assert_eq!(s_off, s_on, "{family}: decomposition counters diverged");
     }
 }
 

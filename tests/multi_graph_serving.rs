@@ -5,8 +5,8 @@
 //! The contract under test (see `graphstore::pool` and
 //! `kcore_suite::CoreService`):
 //!
-//! * **Cores are bit-identical** solo vs shared, at any worker count and
-//!   under either eviction policy — the pool serves bytes, it never
+//! * **Cores are bit-identical** solo vs shared, under either eviction
+//!   policy — the pool serves bytes, it never
 //!   touches results.
 //! * **Charged `read_ios` is bit-identical** solo vs shared: each graph's
 //!   charge comes from its private deterministic charge cache (its own
@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use graphstore::{mem_to_disk, EvictionPolicy, IoCounter, IoSnapshot, TempDir, DEFAULT_BLOCK_SIZE};
 use kcore_suite::CoreService;
 use semicore::ScanExecutor;
-use testutil::{fixtures, worker_counts, working_set_budget, Lcg};
+use testutil::{fixtures, working_set_budget, Lcg};
 
 /// A deterministic per-graph maintenance script: toggle a seeded stream of
 /// edges through the service (insert when absent, delete when present).
@@ -83,8 +83,8 @@ fn fixture_bases(dir: &TempDir) -> Vec<(String, PathBuf)> {
 /// reads diverge and charged reads must not.
 const TIGHT_POOL_BUDGET: u64 = 8 * DEFAULT_BLOCK_SIZE as u64;
 
-fn service(policy: EvictionPolicy, exec: ScanExecutor, budget: u64) -> CoreService {
-    CoreService::with_config(DEFAULT_BLOCK_SIZE, budget, policy, exec).unwrap()
+fn service(policy: EvictionPolicy, budget: u64) -> CoreService {
+    CoreService::with_config(DEFAULT_BLOCK_SIZE, budget, policy, ScanExecutor::Sequential).unwrap()
 }
 
 #[test]
@@ -94,56 +94,52 @@ fn n_graphs_shared_equals_n_solo_runs_across_policies_and_workers() {
     let steps = 30u32;
 
     for policy in [EvictionPolicy::Lru, EvictionPolicy::ScanLifo] {
-        for workers in worker_counts() {
-            let exec = ScanExecutor::parallel(workers);
+        // Solo baseline: each graph gets its own service (same tight
+        // global budget, of which it is the only tenant).
+        let mut solo: Vec<Observation> = Vec::new();
+        for (i, (name, base)) in bases.iter().enumerate() {
+            let svc = service(policy, TIGHT_POOL_BUDGET);
+            svc.open(name, base).unwrap();
+            solo.push(observe(&svc, name, 0xA11CE + i as u64, steps));
+        }
 
-            // Solo baseline: each graph gets its own service (same tight
-            // global budget, of which it is the only tenant).
-            let mut solo: Vec<Observation> = Vec::new();
-            for (i, (name, base)) in bases.iter().enumerate() {
-                let svc = service(policy, exec, TIGHT_POOL_BUDGET);
-                svc.open(name, base).unwrap();
-                solo.push(observe(&svc, name, 0xA11CE + i as u64, steps));
-            }
-
-            // Shared run: one service, every graph served concurrently
-            // from its own thread.
-            let svc = service(policy, exec, TIGHT_POOL_BUDGET);
-            let shared: Vec<Observation> = std::thread::scope(|s| {
-                let handles: Vec<_> = bases
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (name, base))| {
-                        let svc = &svc;
-                        s.spawn(move || {
-                            svc.open(name, base).unwrap();
-                            observe(svc, name, 0xA11CE + i as u64, steps)
-                        })
+        // Shared run: one service, every graph served concurrently
+        // from its own thread.
+        let svc = service(policy, TIGHT_POOL_BUDGET);
+        let shared: Vec<Observation> = std::thread::scope(|s| {
+            let handles: Vec<_> = bases
+                .iter()
+                .enumerate()
+                .map(|(i, (name, base))| {
+                    let svc = &svc;
+                    s.spawn(move || {
+                        svc.open(name, base).unwrap();
+                        observe(svc, name, 0xA11CE + i as u64, steps)
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
 
-            for (i, (name, _)) in bases.iter().enumerate() {
-                assert_eq!(
-                    solo[i].cores, shared[i].cores,
-                    "{name}/{policy:?}/w{workers}: cores solo vs shared"
-                );
-                assert_eq!(
-                    solo[i].charged_reads, shared[i].charged_reads,
-                    "{name}/{policy:?}/w{workers}: charged read_ios solo vs shared"
-                );
-                assert_eq!(solo[i].kmax, shared[i].kmax);
-                assert!(
-                    solo[i].charged_reads > 0,
-                    "{name}: a disk-served session must charge I/O"
-                );
-            }
+        for (i, (name, _)) in bases.iter().enumerate() {
+            assert_eq!(
+                solo[i].cores, shared[i].cores,
+                "{name}/{policy:?}: cores solo vs shared"
+            );
+            assert_eq!(
+                solo[i].charged_reads, shared[i].charged_reads,
+                "{name}/{policy:?}: charged read_ios solo vs shared"
+            );
+            assert_eq!(solo[i].kmax, shared[i].kmax);
             assert!(
-                svc.pool().resident_bytes() <= svc.pool().budget_bytes(),
-                "{policy:?}/w{workers}: pool over budget after the shared run"
+                solo[i].charged_reads > 0,
+                "{name}: a disk-served session must charge I/O"
             );
         }
+        assert!(
+            svc.pool().resident_bytes() <= svc.pool().budget_bytes(),
+            "{policy:?}: pool over budget after the shared run"
+        );
     }
 }
 
@@ -154,11 +150,7 @@ fn shared_serving_matches_the_oracle_per_graph() {
     // the merged on-disk + buffered state matches the oracle.
     let dir = TempDir::new("svc-oracle").unwrap();
     let bases = fixture_bases(&dir);
-    let svc = service(
-        EvictionPolicy::ScanLifo,
-        ScanExecutor::Sequential,
-        TIGHT_POOL_BUDGET,
-    );
+    let svc = service(EvictionPolicy::ScanLifo, TIGHT_POOL_BUDGET);
     for (i, (name, base)) in bases.iter().enumerate() {
         svc.open(name, base).unwrap();
         run_updates(&svc, name, 0xBEEF + i as u64, 20);
@@ -178,11 +170,7 @@ fn pool_budget_holds_under_concurrent_load_with_monitor() {
     // just at quiescence.
     let dir = TempDir::new("svc-budget").unwrap();
     let bases = fixture_bases(&dir);
-    let svc = service(
-        EvictionPolicy::ScanLifo,
-        ScanExecutor::Sequential,
-        TIGHT_POOL_BUDGET,
-    );
+    let svc = service(EvictionPolicy::ScanLifo, TIGHT_POOL_BUDGET);
     for (name, base) in &bases {
         svc.open(name, base).unwrap();
     }
@@ -231,11 +219,7 @@ fn pool_budget_holds_under_concurrent_load_with_monitor() {
 fn eviction_frees_capacity_for_the_survivors() {
     let dir = TempDir::new("svc-evict").unwrap();
     let bases = fixture_bases(&dir);
-    let svc = service(
-        EvictionPolicy::ScanLifo,
-        ScanExecutor::Sequential,
-        TIGHT_POOL_BUDGET,
-    );
+    let svc = service(EvictionPolicy::ScanLifo, TIGHT_POOL_BUDGET);
     for (name, base) in &bases {
         svc.open(name, base).unwrap();
     }
@@ -261,11 +245,7 @@ fn explicit_charge_budget_is_the_model_m_knob() {
 
     let mut charged = Vec::new();
     for budget in [working_set_budget(&base), 4 * DEFAULT_BLOCK_SIZE as u64] {
-        let svc = service(
-            EvictionPolicy::ScanLifo,
-            ScanExecutor::Sequential,
-            TIGHT_POOL_BUDGET,
-        );
+        let svc = service(EvictionPolicy::ScanLifo, TIGHT_POOL_BUDGET);
         svc.open_with_charge(name, &base, budget).unwrap();
         charged.push(observe(&svc, name, 0xCAFE, 10).charged_reads);
     }

@@ -70,7 +70,7 @@ fn durable_with_faults(data: &Path, fault: &Arc<FaultVfs>) -> CoreService {
         DEFAULT_BLOCK_SIZE,
         BUDGET,
         EvictionPolicy::ScanLifo,
-        ScanExecutor::from_env(),
+        ScanExecutor::Sequential,
         DurableOptions::default(),
         Arc::clone(fault) as Arc<dyn Vfs>,
     )
@@ -127,7 +127,7 @@ fn online_repair_after_io_failure_is_bit_identical_to_uninjected_twin() {
         DEFAULT_BLOCK_SIZE,
         BUDGET,
         EvictionPolicy::ScanLifo,
-        ScanExecutor::from_env(),
+        ScanExecutor::Sequential,
     )
     .unwrap();
     twin.create("g", &dir.path().join("bases/t"), edges.iter().copied(), 48)
@@ -189,7 +189,7 @@ fn scrub_detects_journal_damage_and_repair_restores_bit_identical_state() {
         DEFAULT_BLOCK_SIZE,
         BUDGET,
         EvictionPolicy::ScanLifo,
-        ScanExecutor::from_env(),
+        ScanExecutor::Sequential,
     )
     .unwrap();
     twin.create("g", &dir.path().join("bases/t"), edges.iter().copied(), 40)
@@ -251,7 +251,7 @@ fn enospc_degrades_read_only_and_supervisor_promotes_back() {
         DEFAULT_BLOCK_SIZE,
         BUDGET,
         EvictionPolicy::ScanLifo,
-        ScanExecutor::from_env(),
+        ScanExecutor::Sequential,
     )
     .unwrap();
     twin.create("g", &dir.path().join("bases/t"), edges.iter().copied(), 40)
@@ -503,7 +503,7 @@ fn op_deadline_times_out_typed_without_quarantining() {
         DEFAULT_BLOCK_SIZE,
         BUDGET,
         EvictionPolicy::ScanLifo,
-        ScanExecutor::from_env(),
+        ScanExecutor::Sequential,
     )
     .unwrap();
     let edges = normalized(graphgen::gnm(48, 120, 61));

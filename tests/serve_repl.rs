@@ -104,6 +104,27 @@ quit\n";
 }
 
 #[test]
+fn usage_errors_exit_before_creating_a_catalog() {
+    // Every argument is checked before the durable service exists, so a
+    // bad invocation leaves the data directory untouched.
+    let dir = TempDir::new("repl-usage").unwrap();
+    let data = dir.path().join("data");
+    let data_arg = data.display().to_string();
+    for bad in [
+        vec!["--data-dir", &data_arg, "not-a-spec"],
+        vec!["--data-dir", &data_arg, "--qos-queue", "4"],
+        vec!["--data-dir", &data_arg, "--op-timeout-ms", "soon"],
+    ] {
+        let (stdout, ok) = run_session(&bad, "quit\n");
+        assert!(!ok, "{bad:?} must fail, got:\n{stdout}");
+        assert!(
+            !data.join(graphstore::catalog::CATALOG_FILE).exists(),
+            "{bad:?} left a catalog behind"
+        );
+    }
+}
+
+#[test]
 fn fsck_reports_clean_directory_and_flags_damage() {
     let dir = TempDir::new("repl-fsck").unwrap();
     let base = dir.path().join("g");
